@@ -1,0 +1,63 @@
+"""Golden CLI outputs: exit code and stdout, with `timings` stripped.
+
+Each case in tests/golden/cases.json names an argv; tests/golden/<name>.out
+holds the stdout it produced, every JSON line re-rendered without its
+`timings` field.  A refactor that changes any byte of a verdict, count or
+isolation interval fails here.
+
+To re-derive the files after an intended output change (say so in
+CHANGES.md), run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from darcais import cache as cache_mod
+from darcais.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+def strip_timings(out: str) -> str:
+    """Every JSON line without its timings field; other lines unchanged."""
+    lines = []
+    for line in out.splitlines():
+        if line.startswith("{"):
+            record = json.loads(line)
+            record.pop("timings", None)
+            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+def run_case(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, strip_timings(buf.getvalue())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, monkeypatch):
+    monkeypatch.delenv(cache_mod.CACHE_ENV_VAR, raising=False)
+    case = CASES[name]
+    code, out = run_case(case["argv"])
+    assert code == case["exit_code"]
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="ascii")
+
+
+if __name__ == "__main__":
+    for name, case in sorted(CASES.items()):
+        code, out = run_case(case["argv"])
+        case["exit_code"] = code
+        (GOLDEN / f"{name}.out").write_text(out, encoding="ascii")
+    (GOLDEN / "cases.json").write_text(
+        json.dumps(CASES, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
