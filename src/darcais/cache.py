@@ -77,14 +77,26 @@ def read_cache(path: str | Path) -> dict[int, tuple[int, ...]]:
 
 
 def write_cache(path: str | Path, max_n: int) -> None:
-    """Write records for n = 1..max_n (computing any that are missing)."""
+    """Write records for n = 1..max_n (computing any that are missing).
+
+    The records go to a temporary file beside the cache, which then
+    replaces it in one step: a writer that fails or dies midway leaves
+    the old cache untouched, never a truncated one.
+    """
     if max_n < 1:
         raise ValueError("cache needs max_n >= 1")
-    lines = [CACHE_HEADER]
-    for n in range(1, max_n + 1):
-        record = polynomials.darcais_record(n)
-        lines.append(f"{n}: {' '.join(str(c) for c in record.numer_coeffs)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(CACHE_HEADER + "\n")
+            for n in range(1, max_n + 1):
+                record = polynomials.darcais_record(n)
+                fh.write(f"{n}: {' '.join(str(c) for c in record.numer_coeffs)}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_into_memo(path: str | Path) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -194,18 +195,36 @@ def cmd_roots(args: argparse.Namespace) -> int:
     details: dict = {"degree": poly.degree()}
     witnesses: list[dict] = []
     verdict = "pass"
+    timings: dict[str, float] = {}
 
-    square_free = rootcert.is_square_free(poly)
+    # One chain answers every query: its last member is gcd(p, p') up to
+    # a constant, so t = deg of that member gives square-freeness and the
+    # number of distinct roots, deg p - t.
+    start = time.perf_counter()
+    chain = rootcert.SturmChain.build(poly)
+    timings["sturm_chain"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    tail = chain.tail_degree
+    square_free = tail == 0
+    if rootcert.is_square_free(poly, chain=chain) != square_free:
+        raise shape.InternalConsistencyError(
+            "modular square-freeness certificate contradicts the Sturm chain"
+        )
     details["square_free"] = square_free
-    reduced = rootcert.square_free_part(poly)
-    real_count = rootcert.count_real_roots(reduced)
+    real_count = rootcert.count_real_roots(poly, chain=chain)
     details["real_root_count"] = real_count
-    details["nonreal_pair_count"] = (reduced.degree() - real_count) // 2
-    details["all_real_roots_negative"] = rootcert.all_real_roots_negative(poly)
+    details["nonreal_pair_count"] = (poly.degree() - tail - real_count) // 2
+    details["all_real_roots_negative"] = rootcert.all_real_roots_negative(
+        poly, chain=chain
+    )
+    timings["count"] = time.perf_counter() - start
 
     if args.sturm or args.isolate:
         width = Fraction(args.max_width)
-        intervals = rootcert.isolate_real_roots(poly, max_width=width)
+        start = time.perf_counter()
+        intervals = rootcert.isolate_real_roots(poly, max_width=width, chain=chain)
+        timings["isolate"] = time.perf_counter() - start
         details["intervals"] = [
             {"lower": str(iv.lower), "upper": str(iv.upper), "count": iv.count}
             for iv in intervals
@@ -225,7 +244,9 @@ def cmd_roots(args: argparse.Namespace) -> int:
             raise _fail(
                 "polynomial has a root at the origin; divide it out before --hurwitz"
             )
+        start = time.perf_counter()
         routh = rootcert.hurwitz_stable(poly)
+        timings["routh"] = time.perf_counter() - start
         details["hurwitz"] = {
             "stable": routh.stable,
             "marginal": routh.marginal,
@@ -242,7 +263,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
     report = CertReport(
         kind="roots", target=target, verdict=verdict,
-        details=details, witnesses=witnesses,
+        details=details, witnesses=witnesses, timings=timings,
     )
     _print_report(report)
     return EXIT_OK if verdict == "pass" else EXIT_MATH_FAIL
@@ -326,6 +347,7 @@ def cmd_pf(args: argparse.Namespace) -> int:
         verdict="pass" if verdict.is_pf else "fail",
         details=details,
         witnesses=witnesses,
+        timings=dict(verdict.timings),
     )
     _print_report(report)
     return EXIT_OK if verdict.is_pf else EXIT_MATH_FAIL

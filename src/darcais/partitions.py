@@ -16,7 +16,6 @@ kind).  They are exchanged by conjugation.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -129,18 +128,11 @@ class Partition:
 
     def conjugate(self) -> Partition:
         """Transpose of the diagram (columns become rows)."""
-        if not self._parts:
-            return Partition(())
-        cols = self._parts[0]
-        conj = [0] * cols
-        for p in self._parts:
-            for j in range(p):
-                conj[j] += 1
-        return Partition(conj)
+        return Partition(_conjugate_parts(self._parts))
 
     def cells(self) -> Iterator[Cell]:
         """All cells in reading order (row by row, left to right)."""
-        conj = self.conjugate()._parts
+        conj = _conjugate_parts(self._parts)
         for i, part in enumerate(self._parts, start=1):
             for j in range(1, part + 1):
                 yield Cell(row=i, col=j, arm=part - j, leg=conj[j - 1] - i)
@@ -152,15 +144,26 @@ class Partition:
         which contribute, in row i, exactly the hooks 1..(p[i] - p[i+1]).
         TRIVIAL_ARM keeps only cells with arm 0 and equals the TRIVIAL_LEG
         multiset of the conjugate partition.
+
+        Every cell's arm and leg are computed from the parts and their
+        conjugate and filtered as above; the closed forms are not used,
+        so the trivial selectors stay independent of the multiplicity
+        (binomial) route.
         """
-        counter: Counter[int] = Counter()
-        for cell in self.cells():
-            if selector is HookSelector.TRIVIAL_LEG and cell.leg:
-                continue
-            if selector is HookSelector.TRIVIAL_ARM and cell.arm:
-                continue
-            counter[cell.hook] += 1
-        return HookMultiset(selector, tuple(sorted(counter.items())))
+        parts = self._parts
+        conj = _conjugate_parts(parts)
+        keep_leg0 = selector is HookSelector.TRIVIAL_LEG
+        keep_arm0 = selector is HookSelector.TRIVIAL_ARM
+        counts: dict[int, int] = {}
+        for i, part in enumerate(parts, start=1):
+            for j in range(1, part + 1):
+                arm = part - j
+                leg = conj[j - 1] - i
+                if (keep_leg0 and leg) or (keep_arm0 and arm):
+                    continue
+                hook = arm + leg + 1
+                counts[hook] = counts.get(hook, 0) + 1
+        return HookMultiset(selector, tuple(sorted(counts.items())))
 
     def multiplicity_vector(self) -> tuple[int, ...]:
         """Length-n vector whose j-th entry counts parts equal to j.
@@ -189,6 +192,18 @@ class Partition:
                 f"hook product {denom} does not divide {n}! for {self!r}"
             )
         return count
+
+
+def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Parts of the conjugate: column j has as many cells as parts >= j."""
+    if not parts:
+        return ()
+    conj = [0] * parts[0]
+    for p in parts:
+        conj[p - 1] += 1
+    for j in range(len(conj) - 2, -1, -1):
+        conj[j] += conj[j + 1]
+    return tuple(conj)
 
 
 class HookConsistencyError(ArithmeticError):

@@ -16,7 +16,8 @@ fraction Gaussian elimination otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -124,12 +125,15 @@ class PFVerdict:
     witness          a negative minor when one was found (not PF only)
     cross_check      the Sturm real-rootedness answer used for is_pf
     search_exhausted True when not PF but no negative contiguous minor
-                     turned up within the search bounds"""
+                     turned up within the search bounds
+    timings          seconds per stage (sturm_chain, real_rootedness,
+                     minor_search); not part of equality"""
 
     is_pf: bool
     witness: MinorWitness | None
     cross_check: bool
     search_exhausted: bool
+    timings: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 def _det_bareiss(matrix: list[list[int]]) -> int:
@@ -210,23 +214,37 @@ def pf_test(seq: ToeplitzSeq, max_order: int = 32, max_shift: int = 8) -> PFVerd
     if max_order < 1 or max_shift < 0:
         raise ValueError("max_order must be >= 1 and max_shift >= 0")
     poly = seq.attached_poly()
+    timings: dict[str, float] = {}
     # the all-zero sequence has every minor equal to zero, hence PF
-    real_rooted = True if poly.is_zero else rootcert.is_real_rooted(poly)
+    real_rooted = True
+    if not poly.is_zero:
+        start = time.perf_counter()
+        chain = rootcert.SturmChain.build(poly)
+        timings["sturm_chain"] = time.perf_counter() - start
+        start = time.perf_counter()
+        real_rooted = rootcert.is_real_rooted(poly, chain=chain)
+        timings["real_rootedness"] = time.perf_counter() - start
     if real_rooted:
         return PFVerdict(
-            is_pf=True, witness=None, cross_check=True, search_exhausted=False
+            is_pf=True, witness=None, cross_check=True, search_exhausted=False,
+            timings=timings,
         )
+    start = time.perf_counter()
+    witness = None
     for order in range(1, max_order + 1):
         for shift in range(0, max_shift + 1):
             spec = contiguous_minor_spec(order, row_start=shift)
             det = toeplitz_minor(seq, spec)
             if det < 0:
-                return PFVerdict(
-                    is_pf=False,
-                    witness=MinorWitness(spec, det),
-                    cross_check=False,
-                    search_exhausted=False,
-                )
+                witness = MinorWitness(spec, det)
+                break
+        if witness is not None:
+            break
+    timings["minor_search"] = time.perf_counter() - start
     return PFVerdict(
-        is_pf=False, witness=None, cross_check=False, search_exhausted=True
+        is_pf=False,
+        witness=witness,
+        cross_check=False,
+        search_exhausted=witness is None,
+        timings=timings,
     )

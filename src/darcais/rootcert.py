@@ -13,7 +13,6 @@ free or not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -73,13 +72,14 @@ class RouthVerdict:
 class SturmChain:
     """Sturm chain p0 = p, p1 = p', p_{k+1} = -rem(p_{k-1}, p_k).
 
-    Members are stored primitive (integer coefficients, positive content
-    removed), which rescales each by a positive constant and therefore
-    changes no signs.  The chain ends at the last nonzero remainder, a
-    constant for square-free p and a gcd multiple otherwise.
+    Members are stored once, as primitive integer coefficient tuples
+    (constant term first, positive content removed), which rescales each
+    by a positive constant and therefore changes no signs.  The chain
+    ends at the last nonzero remainder, a constant for square-free p and
+    a multiple of gcd(p, p') otherwise.
     """
 
-    members: tuple[ExactPoly, ...]
+    coeffs: tuple[tuple[int, ...], ...]
 
     @classmethod
     def build(cls, p: ExactPoly) -> SturmChain:
@@ -87,7 +87,7 @@ class SturmChain:
             raise ValueError("cannot build a Sturm chain for the zero polynomial")
         f = _primitive_int_coeffs(p.coeffs)
         if len(f) == 1:
-            return cls((ExactPoly(f),))
+            return cls((tuple(f),))
         fp = [k * c for k, c in enumerate(f)][1:]
         chain = [f, _primitive_part(fp)]
         while True:
@@ -95,16 +95,48 @@ class SturmChain:
             if not r:
                 break
             chain.append([-c for c in r])
-        return cls(tuple(ExactPoly(c) for c in chain))
+        return cls(tuple(tuple(c) for c in chain))
+
+    @property
+    def members(self) -> tuple[ExactPoly, ...]:
+        """The chain as rational polynomials (built on each access)."""
+        return tuple(ExactPoly(c) for c in self.coeffs)
+
+    @property
+    def tail_degree(self) -> int:
+        """Degree of the last member, which is deg gcd(p, p')."""
+        return len(self.coeffs[-1]) - 1
+
+    def signs_at(self, x: Scalar) -> list[int]:
+        """Sign (-1, 0 or 1) of every member at x, in chain order.
+
+        At x = a/b with b > 0 a member of degree d is evaluated as the
+        homogeneous integer sum c_0 b^d + c_1 a b^(d-1) + ... + c_d a^d,
+        which is b^d times its value at x and so has the same sign.
+        """
+        a, b = x.numerator, x.denominator
+        signs = []
+        if b == 1:
+            for cs in self.coeffs:
+                acc = 0
+                for c in reversed(cs):
+                    acc = acc * a + c
+                signs.append((acc > 0) - (acc < 0))
+            return signs
+        powers = [1]
+        for _ in range(len(self.coeffs[0]) - 1):
+            powers.append(powers[-1] * b)
+        for cs in self.coeffs:
+            d = len(cs) - 1
+            acc = 0
+            for i in range(d, -1, -1):
+                acc = acc * a + cs[i] * powers[d - i]
+            signs.append((acc > 0) - (acc < 0))
+        return signs
 
     def variations_at(self, x: Scalar) -> int:
         """Number of sign changes in the chain evaluated at x."""
-        signs = []
-        for member in self.members:
-            v = member(x)
-            if v:
-                signs.append(1 if v > 0 else -1)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return _sign_changes(self.signs_at(x))
 
     def variations_at_infinity(self, positive: bool) -> int:
         """Sign changes in the limit x -> +inf or x -> -inf.
@@ -113,13 +145,18 @@ class SturmChain:
         coefficient; at -inf that sign flips for odd degrees.
         """
         signs = []
-        for member in self.members:
-            lead = member.leading_coefficient()
-            s = 1 if lead > 0 else -1
-            if not positive and member.degree() % 2 == 1:
+        for cs in self.coeffs:
+            s = 1 if cs[-1] > 0 else -1
+            if not positive and len(cs) % 2 == 0:
                 s = -s
             signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return _sign_changes(signs)
+
+
+def _sign_changes(signs: Sequence[int]) -> int:
+    """Sign changes in a sequence of -1/0/1, zeros skipped."""
+    nonzero = [s for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
 def count_real_roots(
@@ -134,6 +171,7 @@ def count_real_roots(
     Multiple roots are counted once: the chain construction works for
     non-square-free input because its tail divides every member, and
     dividing the whole chain by it leaves sign variations unchanged.
+    A chain passed in must be SturmChain.build(p).
     """
     if p.is_zero:
         raise ValueError("root counting requires a nonzero polynomial")
@@ -141,23 +179,19 @@ def count_real_roots(
         raise ValueError("interval must satisfy lower < upper")
     if chain is None:
         chain = SturmChain.build(p)
-    for endpoint in (lower, upper):
-        if endpoint is not None and p(endpoint) == 0:
+    variations = []
+    for endpoint, positive in ((lower, False), (upper, True)):
+        if endpoint is None:
+            variations.append(chain.variations_at_infinity(positive=positive))
+            continue
+        signs = chain.signs_at(endpoint)
+        if signs[0] == 0:
             raise RootAtEndpointError(
                 f"{endpoint} is a root of the polynomial; Sturm endpoints must "
                 "not be roots - shift the endpoint by a small exact rational"
             )
-    va = (
-        chain.variations_at_infinity(positive=False)
-        if lower is None
-        else chain.variations_at(lower)
-    )
-    vb = (
-        chain.variations_at_infinity(positive=True)
-        if upper is None
-        else chain.variations_at(upper)
-    )
-    return va - vb
+        variations.append(_sign_changes(signs))
+    return variations[0] - variations[1]
 
 
 def _cauchy_bound(p: ExactPoly) -> Fraction:
@@ -168,13 +202,14 @@ def _cauchy_bound(p: ExactPoly) -> Fraction:
 
 
 def isolate_real_roots(
-    p: ExactPoly, max_width: Scalar = 1
+    p: ExactPoly, max_width: Scalar = 1, chain: SturmChain | None = None
 ) -> list[RootInterval]:
     """Disjoint rational intervals, each holding exactly one distinct real
     root of p, every interval no wider than max_width, sorted by position.
 
     Interval endpoints are never roots.  Works on non-square-free input
-    (each distinct root is isolated once).
+    (each distinct root is isolated once).  A chain passed in must be
+    SturmChain.build(p).
     """
     if p.is_zero:
         raise ValueError("root isolation requires a nonzero polynomial")
@@ -183,38 +218,45 @@ def isolate_real_roots(
         raise ValueError("max_width must be positive")
     if p.degree() == 0:
         return []
-    chain = SturmChain.build(p)
+    if chain is None:
+        chain = SturmChain.build(p)
     bound = _cauchy_bound(p)
-    total = chain.variations_at(-bound) - chain.variations_at(bound)
+    v_low = chain.variations_at(-bound)
+    total = v_low - chain.variations_at(bound)
     if total == 0:
         return []
     done: list[RootInterval] = []
-    stack: list[tuple[Fraction, Fraction, int]] = [(-bound, bound, total)]
+    # (lower, upper, roots inside, variations at lower)
+    stack: list[tuple[Fraction, Fraction, int, int]] = [(-bound, bound, total, v_low)]
     while stack:
-        lo, hi, count = stack.pop()
+        lo, hi, count, v_lo = stack.pop()
         if count == 1 and hi - lo <= max_width:
             done.append(RootInterval(lo, hi, 1))
             continue
-        mid = _nonroot_midpoint(p, lo, hi)
-        vmid = chain.variations_at(mid)
-        left = chain.variations_at(lo) - vmid
+        mid, v_mid = _nonroot_midpoint(chain, lo, hi)
+        left = v_lo - v_mid
         right = count - left
         if left:
-            stack.append((lo, mid, left))
+            stack.append((lo, mid, left, v_lo))
         if right:
-            stack.append((mid, hi, right))
+            stack.append((mid, hi, right, v_mid))
     done.sort(key=lambda iv: iv.lower)
     return done
 
 
-def _nonroot_midpoint(p: ExactPoly, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point near the middle of (lo, hi) where p does not vanish."""
+def _nonroot_midpoint(
+    chain: SturmChain, lo: Fraction, hi: Fraction
+) -> tuple[Fraction, int]:
+    """A point near the middle of (lo, hi) where the chain's polynomial
+    does not vanish, with the chain's sign variations there."""
     mid = (lo + hi) / 2
     step = 2
-    while p(mid) == 0:
+    signs = chain.signs_at(mid)
+    while signs[0] == 0:
         mid = (lo + hi) / 2 + (hi - lo) / (1 << step)
         step += 1
-    return mid
+        signs = chain.signs_at(mid)
+    return mid, _sign_changes(signs)
 
 
 # Fixed 62-bit primes for the one-sided square-freeness certificate.
@@ -245,14 +287,15 @@ def _gf_gcd_degree(f: Sequence[int], prime: int) -> int:
     return len(a) - 1
 
 
-def is_square_free(p: ExactPoly) -> bool:
+def is_square_free(p: ExactPoly, chain: SturmChain | None = None) -> bool:
     """Whether gcd(p, p') is constant, i.e. p has no repeated roots.
 
     Tries a modular certificate first: if gcd(p mod q, p' mod q) is
     constant for a prime q that divides neither leading coefficient, then
     the rational gcd is constant too (the implication only runs this
-    direction, so the shortcut is sound).  Falls back to the exact
-    pseudo-remainder gcd when the modular answer is inconclusive.
+    direction, so the shortcut is sound).  When the modular answer is
+    inconclusive, decides by the degree of the given chain's last member
+    or, without a chain, by the exact pseudo-remainder gcd.
     """
     if p.is_zero:
         raise ValueError("square-freeness is undefined for the zero polynomial")
@@ -266,6 +309,8 @@ def is_square_free(p: ExactPoly) -> bool:
         if _gf_gcd_degree(f, prime) == 0:
             return True
         break
+    if chain is not None:
+        return chain.tail_degree == 0
     return poly_gcd(p, p.derivative()).degree() == 0
 
 
@@ -283,28 +328,33 @@ def square_free_part(p: ExactPoly) -> ExactPoly:
     return quotient.monic()
 
 
-def is_real_rooted(p: ExactPoly) -> bool:
+def is_real_rooted(p: ExactPoly, chain: SturmChain | None = None) -> bool:
     """Whether every complex root of p is real (counted without
-    multiplicity, which loses nothing)."""
+    multiplicity, which loses nothing).
+
+    p has deg p - t distinct roots, t = deg gcd(p, p') being the degree
+    of the chain's last member, so it is real-rooted iff its chain counts
+    that many real ones.  A chain passed in must be SturmChain.build(p).
+    """
     if p.is_zero:
         raise ValueError("real-rootedness is undefined for the zero polynomial")
-    reduced = square_free_part(p)
-    if reduced.degree() == 0:
-        return True
-    return count_real_roots(reduced) == reduced.degree()
+    if chain is None:
+        chain = SturmChain.build(p)
+    return count_real_roots(p, chain=chain) == p.degree() - chain.tail_degree
 
 
-def all_real_roots_negative(p: ExactPoly) -> bool:
+def all_real_roots_negative(p: ExactPoly, chain: SturmChain | None = None) -> bool:
     """True iff p has no real root in [0, +infinity).
 
     Complex roots are not constrained; combine with is_real_rooted when
-    full negativity of the spectrum is the question.
+    full negativity of the spectrum is the question.  A chain passed in
+    must be SturmChain.build(p).
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no root data")
-    if p(0) == 0:
+    if p.coefficient(0) == 0:
         return False
-    return count_real_roots(p, lower=0, upper=None) == 0
+    return count_real_roots(p, lower=0, upper=None, chain=chain) == 0
 
 
 def hurwitz_stable(p: ExactPoly) -> RouthVerdict:

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 
 from darcais import cache as cache_mod
+from darcais import rootcert
 from darcais.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
+from darcais.pf_tnn import ToeplitzSeq, pf_test
 from darcais.polynomials import darcais_record
+from darcais.rootcert import SturmChain
 
 R_WITNESS_DET = int(
     "-2876174434925079210074718217371979999968306174665777544936215683258363"
@@ -348,6 +351,74 @@ class TestCache:
         monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(tmp_path / "absent.cache"))
         code, out, _ = run(capsys, "verify", "--conjecture", "1", "--max-n", "2")
         assert code == EXIT_OK
+
+    def test_failed_write_leaves_old_cache_intact(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "records.cache"
+        run(capsys, "poly", "--n", "4", "--cache", str(path))
+        before = path.read_bytes()
+
+        real_record = cache_mod.polynomials.darcais_record
+
+        def dies_midway(n):
+            if n == 6:
+                raise RuntimeError("writer killed")
+            return real_record(n)
+
+        monkeypatch.setattr(cache_mod.polynomials, "darcais_record", dies_midway)
+        with pytest.raises(RuntimeError, match="writer killed"):
+            cache_mod.write_cache(path, 8)
+        assert path.read_bytes() == before
+        assert sorted(cache_mod.read_cache(path)) == [1, 2, 3, 4]
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
+
+class TestOneSturmChainPerPolynomial:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = SturmChain.build
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(SturmChain, "build", staticmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("roots", "--n", "12", "--isolate", "--hurwitz"),
+            ("roots", "--poly", "2 -3 2 -2 0 1", "--sturm"),
+            ("pf", "--coeffs", "2 2 1"),
+            ("pf", "--coeffs", "1 0 2 0 1"),
+            ("pf", "--n", "10", "--strip-linear=-1"),
+        ],
+    )
+    def test_cli_builds_one_chain(self, capsys, builds, argv):
+        run(capsys, *argv)
+        assert len(builds) == 1
+
+    def test_pf_test_builds_one_chain(self, builds):
+        pf_test(ToeplitzSeq((1, 3, 3, 1)))
+        pf_test(ToeplitzSeq((1, 1, 1)))
+        assert len(builds) == 2
+
+    def test_square_freeness_disagreement_is_an_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(rootcert, "is_square_free", lambda p, chain=None: False)
+        code, out, err = run(capsys, "roots", "--poly", "3 2 1")
+        assert code == EXIT_MATH_FAIL
+        assert out == "" and "internal consistency failure" in err
+
+    def test_stage_timings_are_reported(self, capsys):
+        _, out, _ = run(capsys, "roots", "--n", "8", "--isolate", "--hurwitz")
+        assert set(parse_lines(out)[0]["timings"]) == {
+            "sturm_chain", "count", "isolate", "routh"
+        }
+        _, out, _ = run(capsys, "pf", "--coeffs", "2 2 1")
+        assert set(parse_lines(out)[0]["timings"]) == {
+            "sturm_chain", "real_rootedness", "minor_search"
+        }
 
 
 class TestOutputContract:

@@ -1,6 +1,7 @@
 """Tests for partition enumeration, hooks, and tableau counts."""
 
 import math
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -178,6 +179,25 @@ class TestHooks:
         )
         # the full multiset is conjugation invariant
         assert p.hooks().counts == p.conjugate().hooks().counts
+
+
+def reference_hooks(partition, selector):
+    """Hook multiset counted from cells(), one Cell at a time."""
+    counts = Counter()
+    for cell in partition.cells():
+        if selector is HookSelector.TRIVIAL_LEG and cell.leg:
+            continue
+        if selector is HookSelector.TRIVIAL_ARM and cell.arm:
+            continue
+        counts[cell.hook] += 1
+    return tuple(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("selector", list(HookSelector))
+def test_hooks_match_cell_reference(selector):
+    for n in range(13):
+        for p in enumerate_partitions(n):
+            assert p.hooks(selector).counts == reference_hooks(p, selector), (p, selector)
 
 
 class TestMultiplicityVector:
