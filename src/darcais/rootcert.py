@@ -116,13 +116,6 @@ class SturmChain:
         """
         a, b = x.numerator, x.denominator
         signs = []
-        if b == 1:
-            for cs in self.coeffs:
-                acc = 0
-                for c in reversed(cs):
-                    acc = acc * a + c
-                signs.append((acc > 0) - (acc < 0))
-            return signs
         powers = [1]
         for _ in range(len(self.coeffs[0]) - 1):
             powers.append(powers[-1] * b)
