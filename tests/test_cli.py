@@ -410,16 +410,6 @@ class TestOneSturmChainPerPolynomial:
         assert code == EXIT_MATH_FAIL
         assert out == "" and "internal consistency failure" in err
 
-    def test_stage_timings_are_reported(self, capsys):
-        _, out, _ = run(capsys, "roots", "--n", "8", "--isolate", "--hurwitz")
-        assert set(parse_lines(out)[0]["timings"]) == {
-            "sturm_chain", "count", "isolate", "routh"
-        }
-        _, out, _ = run(capsys, "pf", "--coeffs", "2 2 1")
-        assert set(parse_lines(out)[0]["timings"]) == {
-            "sturm_chain", "real_rootedness", "minor_search"
-        }
-
 
 class TestOutputContract:
     def test_json_lines_have_sorted_keys(self, capsys):
@@ -438,6 +428,16 @@ class TestOutputContract:
             return stripped
 
         assert snapshot() == snapshot()
+
+    def test_stage_timings_are_reported(self, capsys):
+        _, out, _ = run(capsys, "roots", "--n", "8", "--isolate", "--hurwitz")
+        assert set(parse_lines(out)[0]["timings"]) == {
+            "sturm_chain", "count", "isolate", "routh"
+        }
+        _, out, _ = run(capsys, "pf", "--coeffs", "2 2 1")
+        assert set(parse_lines(out)[0]["timings"]) == {
+            "sturm_chain", "real_rootedness", "minor_search"
+        }
 
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")

@@ -18,7 +18,7 @@ X = sympy.symbols("x")
 
 def random_poly(rng: random.Random) -> ExactPoly:
     """Integer polynomial built from rational linear factors (some
-    squared), an irreducible-looking quadratic and a random cofactor."""
+    squared), a random monic quadratic and a random cofactor."""
     p = ExactPoly([1])
     for _ in range(rng.randint(0, 3)):
         num, den = rng.randint(-9, 9), rng.randint(1, 4)
