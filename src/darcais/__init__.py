@@ -14,20 +14,12 @@ throughout, no floating point on any certification path.
 """
 
 from .exactnum import (
-    BigInt,
-    BigRat,
     ExactPoly,
-    binomial,
-    poly_add,
-    poly_derivative,
     poly_divmod,
-    poly_eval,
     poly_gcd,
-    poly_mul,
 )
 from .partitions import (
     Cell,
-    HookConsistencyError,
     HookMultiset,
     HookSelector,
     Partition,
@@ -50,7 +42,6 @@ from .polynomials import (
     darcais_poly,
     darcais_record,
     euler_series_poly,
-    finite_product_coefficient,
     hook_sum_full,
     hook_sum_trivial_arm,
     hook_sum_trivial_leg,
@@ -91,15 +82,12 @@ __version__ = ARTIFACT_VERSION
 
 __all__ = [
     "ARTIFACT_VERSION",
-    "BigInt",
-    "BigRat",
     "Cell",
     "CertReport",
     "DArcaisRecord",
     "DEFAULT_ROUTE_BOUNDS",
     "ExactPoly",
     "FactorizationError",
-    "HookConsistencyError",
     "HookMultiset",
     "HookSelector",
     "InternalConsistencyError",
@@ -114,7 +102,6 @@ __all__ = [
     "SturmChain",
     "ToeplitzSeq",
     "all_real_roots_negative",
-    "binomial",
     "binomial_sum",
     "contiguous_minor_spec",
     "count_real_roots",
@@ -122,7 +109,6 @@ __all__ = [
     "darcais_record",
     "enumerate_partitions",
     "euler_series_poly",
-    "finite_product_coefficient",
     "hook_sum_full",
     "hook_sum_trivial_arm",
     "hook_sum_trivial_leg",
@@ -135,12 +121,8 @@ __all__ = [
     "isolate_real_roots",
     "partition_count",
     "pf_test",
-    "poly_add",
-    "poly_derivative",
     "poly_divmod",
-    "poly_eval",
     "poly_gcd",
-    "poly_mul",
     "q_poly",
     "q_scaled_coeffs",
     "scaled_coeffs",

@@ -56,9 +56,16 @@ def _fail(message: str) -> "UsageError":
 # -- shared helpers ----------------------------------------------------------
 
 
+def _cache_path(value: str) -> str:
+    """Parser type of --cache: the file may be missing, its directory not."""
+    if not Path(value).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{value}: directory does not exist")
+    return value
+
+
 def _maybe_load_cache(args: argparse.Namespace) -> None:
-    """Seed the memo from --cache or the environment; missing file is fine
-    for the env default, an explicit --cache must exist or be creatable."""
+    """Seed the memo from --cache or the environment; a missing file is
+    fine for both (the parser has checked that --cache is creatable)."""
     path = getattr(args, "cache", None) or cache_mod.default_cache_path()
     if path and Path(path).exists():
         cache_mod.load_into_memo(path)
@@ -440,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shifted", action="store_true", help="print Q_n(x) = P_n(x+1) instead"
     )
-    p.add_argument("--cache", help="normalized-record cache file to reuse and extend")
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("verify", help="cross-check hook-length identities")
@@ -460,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-error", metavar="ROUTE:INDEX[:DELTA]",
         help="diagnostic: perturb one route's output to exercise the failure path",
     )
-    p.add_argument("--cache", help="normalized-record cache file to reuse")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("roots", help="root-location certificates")
@@ -479,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hurwitz", action="store_true", help="add the Routh-Hurwitz verdict"
     )
-    p.add_argument("--cache", help="normalized-record cache file to reuse")
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("pf", help="Polya frequency test with minor witness")
@@ -494,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strip-linear", metavar="R1,R2,...",
         help="divide out exact rational roots (e.g. -1) before testing",
     )
-    p.add_argument("--cache", help="normalized-record cache file to reuse")
     p.set_defaults(func=cmd_pf)
 
     p = sub.add_parser("shape", help="coefficient shape table for Q_n")
@@ -508,9 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--doctor", metavar="N:INDEX:VALUE",
         help="diagnostic: force one coefficient to exercise the failure path",
     )
-    p.add_argument("--cache", help="normalized-record cache file to reuse")
     p.set_defaults(func=cmd_shape)
 
+    for name, p in sub.choices.items():
+        extend = " and extend" if name == "poly" else ""
+        p.add_argument(
+            "--cache", type=_cache_path,
+            help=f"normalized-record cache file to reuse{extend}",
+        )
     return parser
 
 

@@ -13,20 +13,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
-
-# Public aliases for the exact scalar types used throughout the package.
-BigInt = int
-BigRat = Fraction
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-# Products where both operands have at least this many coefficients use the
-# divide-and-conquer (Karatsuba) path; below it schoolbook convolution wins.
-KARATSUBA_CUTOFF = 32
+
+# -- kernel on coefficient lists, constant term first ----------------------
 
 
-def _convolve_schoolbook(a: list, b: list) -> list:
+def convolve(a: Sequence, b: Sequence) -> list:
+    """Schoolbook product of two nonempty coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:
@@ -36,46 +32,67 @@ def _convolve_schoolbook(a: list, b: list) -> list:
     return out
 
 
-def _add_into(target: list, source: list, offset: int) -> None:
-    for i, c in enumerate(source):
-        target[offset + i] += c
-
-
-def _convolve(a: list, b: list) -> list:
-    """Convolution of two nonempty coefficient lists of exact scalars."""
-    la, lb = len(a), len(b)
-    if min(la, lb) < KARATSUBA_CUTOFF:
-        return _convolve_schoolbook(a, b)
-    m = (max(la, lb) + 1) // 2
-    if la <= m or lb <= m:
-        # Unbalanced operands: split only the longer one.
-        if la < lb:
-            a, b, la, lb = b, a, lb, la
-        out = [0] * (la + lb - 1)
-        _add_into(out, _convolve(a[:m], b), 0)
-        _add_into(out, _convolve(a[m:], b), m)
-        return out
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = _convolve(a0, b0)
-    z2 = _convolve(a1, b1)
-    sa = [0] * max(len(a0), len(a1))
-    _add_into(sa, a0, 0)
-    _add_into(sa, a1, 0)
-    sb = [0] * max(len(b0), len(b1))
-    _add_into(sb, b0, 0)
-    _add_into(sb, b1, 0)
-    z1 = _convolve(sa, sb)
-    out = [0] * (la + lb - 1)
-    _add_into(out, z0, 0)
-    _add_into(out, z2, 2 * m)
-    for i, c in enumerate(z1):
-        out[m + i] += c
-    for i, c in enumerate(z0):
-        out[m + i] -= c
-    for i, c in enumerate(z2):
-        out[m + i] -= c
+def shift_by_one(coeffs: Iterable) -> list:
+    """Taylor shift p(x) -> p(x + 1) by repeated Horner passes, O(deg^2).
+    Add-only on purpose: multiplying by c in the loop costs about a third."""
+    out = list(coeffs)
+    m = len(out)
+    for i in range(m - 1):
+        for j in range(m - 2, i - 1, -1):
+            out[j] += out[j + 1]
     return out
+
+
+def primitive_part(ints: Iterable[int]) -> list[int]:
+    """The integers divided by their positive content (gcd); signs kept."""
+    ints = list(ints)
+    content = 0
+    for v in ints:
+        content = math.gcd(content, v)
+    if content > 1:
+        return [v // content for v in ints]
+    return ints
+
+
+def primitive_int_coeffs(coeffs: Iterable[Scalar]) -> list[int]:
+    """Scale rational coefficients by a positive rational to primitive ints.
+
+    The scale factor is always positive, so signs are preserved.
+    """
+    cs = list(coeffs)
+    denom_lcm = 1
+    for c in cs:
+        denom_lcm = math.lcm(denom_lcm, c.denominator)
+    return primitive_part(int(c * denom_lcm) for c in cs)
+
+
+def prem_signed(f: list[int], g: list[int]) -> list[int]:
+    """Integer multiple of rem(f, g) with a positive scale factor.
+
+    Runs the pseudo-division loop entirely over the integers, then fixes
+    the sign so the result is a positive rational multiple of the true
+    remainder.  Trailing zeros stripped.
+    """
+    dg = len(g) - 1
+    lg = g[-1]
+    r = list(f)
+    steps = 0
+    while r and len(r) - 1 >= dg:
+        if r[-1] == 0:
+            r.pop()
+            continue
+        c = r[-1]
+        r = [lg * x for x in r]
+        steps += 1
+        off = len(r) - 1 - dg
+        for i in range(dg):
+            r[off + i] -= c * g[i]
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    if lg < 0 and steps % 2 == 1:
+        r = [-x for x in r]
+    return r
 
 
 class ExactPoly:
@@ -163,26 +180,12 @@ class ExactPoly:
         if isinstance(other, ExactPoly):
             if self.is_zero or other.is_zero:
                 return ExactPoly()
-            return ExactPoly(_convolve(list(self._coeffs), list(other._coeffs)))
+            return ExactPoly(convolve(self._coeffs, other._coeffs))
         if isinstance(other, (int, Fraction)):
             return ExactPoly(c * other for c in self._coeffs)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> ExactPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = ExactPoly([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def __call__(self, x: Scalar) -> Fraction:
         """Evaluate by Horner's rule; exact for int or Fraction arguments."""
@@ -196,14 +199,16 @@ class ExactPoly:
         return ExactPoly(k * c for k, c in enumerate(self._coeffs) if k)
 
     def shift(self, c: Scalar) -> ExactPoly:
-        """Return p(x + c), computed by repeated Horner passes (O(deg^2))."""
+        """Return p(x + c): with b_k = a_k c^k and s = shift_by_one(b),
+        the coefficient of x^k in p(x + c) is s_k / c^k."""
         c = c if isinstance(c, Fraction) else Fraction(c)
-        out = list(self._coeffs)
-        n = len(out)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                out[j] += c * out[j + 1]
-        return ExactPoly(out)
+        if not c:
+            return self
+        powers = [Fraction(1)]
+        for _ in range(len(self._coeffs) - 1):
+            powers.append(powers[-1] * c)
+        shifted = shift_by_one(a * w for a, w in zip(self._coeffs, powers))
+        return ExactPoly(s / w for s, w in zip(shifted, powers))
 
     def monic(self) -> ExactPoly:
         if not self._coeffs:
@@ -242,22 +247,6 @@ class ExactPoly:
 # -- module-level operations ----------------------------------------------
 
 
-def poly_add(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    return a + b
-
-
-def poly_mul(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    return a * b
-
-
-def poly_eval(p: ExactPoly, x: Scalar) -> Fraction:
-    return p(x)
-
-
-def poly_derivative(p: ExactPoly) -> ExactPoly:
-    return p.derivative()
-
-
 def poly_divmod(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
     """Exact quotient and remainder with deg(remainder) < deg(b)."""
     if b.is_zero:
@@ -279,64 +268,6 @@ def poly_divmod(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
     return ExactPoly(quot), ExactPoly(rem[: len(div) - 1])
 
 
-def _primitive_int_coeffs(coeffs: Iterable[Fraction]) -> list[int]:
-    """Scale rational coefficients by a positive rational to primitive ints.
-
-    The scale factor is always positive, so signs are preserved.
-    """
-    cs = list(coeffs)
-    if not cs:
-        return []
-    denom_lcm = 1
-    for c in cs:
-        denom_lcm = math.lcm(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in cs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    if content > 1:
-        ints = [v // content for v in ints]
-    return ints
-
-
-def _int_prem_signed(f: list[int], g: list[int]) -> list[int]:
-    """Integer multiple of rem(f, g) with a positive scale factor.
-
-    Runs the pseudo-division loop entirely over the integers, then fixes
-    the sign so the result is a positive rational multiple of the true
-    remainder.  Trailing zeros stripped.
-    """
-    dg = len(g) - 1
-    lg = g[-1]
-    r = list(f)
-    steps = 0
-    while r and len(r) - 1 >= dg:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        c = r[-1]
-        r = [lg * x for x in r]
-        steps += 1
-        off = len(r) - 1 - dg
-        for i in range(dg):
-            r[off + i] -= c * g[i]
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    if lg < 0 and steps % 2 == 1:
-        r = [-x for x in r]
-    return r
-
-
-def _primitive_part(ints: list[int]) -> list[int]:
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    if content > 1:
-        return [v // content for v in ints]
-    return list(ints)
-
-
 def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     """Monic gcd via a primitive pseudo-remainder sequence (exact).
 
@@ -348,25 +279,12 @@ def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    f = _primitive_int_coeffs(a.coeffs)
-    g = _primitive_int_coeffs(b.coeffs)
+    f = primitive_int_coeffs(a.coeffs)
+    g = primitive_int_coeffs(b.coeffs)
     if len(f) < len(g):
         f, g = g, f
     while g:
-        r = _primitive_part(_int_prem_signed(f, g))
+        r = primitive_part(prem_signed(f, g))
         f, g = g, r
     return ExactPoly(f).monic()
 
-
-def binomial(top: Scalar, k: int) -> Fraction:
-    """Generalized binomial coefficient C(top, k) = top(top-1)...(top-k+1)/k!.
-
-    top may be any integer or rational; k must be a nonnegative integer.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("binomial lower index must be a nonnegative integer")
-    top = top if isinstance(top, Fraction) else Fraction(top)
-    num = Fraction(1)
-    for i in range(k):
-        num *= top - i
-    return num / math.factorial(k)

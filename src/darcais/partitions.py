@@ -15,7 +15,6 @@ kind).  They are exchanged by conjugation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -61,15 +60,9 @@ class HookMultiset:
     def size(self) -> int:
         return sum(mult for _, mult in self.counts)
 
-    def product(self) -> int:
-        prod = 1
-        for value, mult in self.counts:
-            prod *= value**mult
-        return prod
-
 
 class Partition:
-    """An integer partition with hook-length and tableau-counting queries."""
+    """An integer partition with hook-length queries."""
 
     __slots__ = ("_parts",)
 
@@ -165,34 +158,6 @@ class Partition:
                 counts[hook] = counts.get(hook, 0) + 1
         return HookMultiset(selector, tuple(sorted(counts.items())))
 
-    def multiplicity_vector(self) -> tuple[int, ...]:
-        """Length-n vector whose j-th entry counts parts equal to j.
-
-        This is the bijective encoding of the partition by part
-        multiplicities; sum(j * k_j) recovers the weight.
-        """
-        n = self.weight
-        vec = [0] * n
-        for p in self._parts:
-            vec[p - 1] += 1
-        return tuple(vec)
-
-    def count_syt(self) -> int:
-        """Number of standard Young tableaux, n! / (product of all hooks).
-
-        Raises HookConsistencyError if the division is not exact, which
-        would indicate corrupted hook data (it never happens for genuine
-        partitions).
-        """
-        n = self.weight
-        denom = self.hooks(HookSelector.FULL).product()
-        count, rem = divmod(math.factorial(n), denom)
-        if rem:
-            raise HookConsistencyError(
-                f"hook product {denom} does not divide {n}! for {self!r}"
-            )
-        return count
-
 
 def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Parts of the conjugate: column j has as many cells as parts >= j."""
@@ -204,10 +169,6 @@ def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     for j in range(len(conj) - 2, -1, -1):
         conj[j] += conj[j + 1]
     return tuple(conj)
-
-
-class HookConsistencyError(ArithmeticError):
-    """The hook-length formula produced a non-integer tableau count."""
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

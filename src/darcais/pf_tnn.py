@@ -10,19 +10,19 @@ pf_test decides PF through that equivalence (delegating real-rootedness
 to the Sturm machinery in rootcert) and, for a failing sequence, also
 hunts down an explicit negative contiguous minor - a matrix-side
 certificate independent of the root count.  Minors are evaluated
-exactly: Bareiss fraction-free elimination for integer sequences,
-fraction Gaussian elimination otherwise.
+exactly by Bareiss fraction-free elimination, rational sequences after
+scaling to integers.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from . import rootcert
-from .exactnum import ExactPoly, Scalar
+from .exactnum import ExactPoly
 
 
 @dataclass(frozen=True)
@@ -162,40 +162,17 @@ def _det_bareiss(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_fraction(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = None
-        for r in range(k, n):
-            if m[r][k]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for r in range(k + 1, n):
-            factor = m[r][k] / pivot
-            if factor:
-                for c in range(k, n):
-                    m[r][c] -= factor * m[k][c]
-    return det
-
-
 def toeplitz_minor(seq: ToeplitzSeq, spec: MinorSpec) -> Fraction:
-    """Exact determinant of the selected minor."""
-    if seq.is_integral:
-        matrix = [
-            [int(seq.entry(i, j)) for j in spec.cols] for i in spec.rows
-        ]
-        return Fraction(_det_bareiss(matrix))
-    rational = [[seq.entry(i, j) for j in spec.cols] for i in spec.rows]
-    return _det_fraction(rational)
+    """Exact determinant of the selected minor, by Bareiss on the entries
+    scaled by L > 0, the lcm of their denominators: det = det(L M) / L**order."""
+    scale = math.lcm(*(e.denominator for e in seq.entries))
+    ints = [int(e * scale) for e in seq.entries]
+    size = len(ints)
+    matrix = [
+        [ints[i - j] if 0 <= i - j < size else 0 for j in spec.cols]
+        for i in spec.rows
+    ]
+    return Fraction(_det_bareiss(matrix), scale**spec.order)
 
 
 def pf_test(seq: ToeplitzSeq, max_order: int = 32, max_shift: int = 8) -> PFVerdict:

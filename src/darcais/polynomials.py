@@ -27,14 +27,13 @@ coefficient, exactly.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import ExactPoly
-from .partitions import HookSelector, Partition, enumerate_partitions
+from .exactnum import ExactPoly, convolve, shift_by_one
+from .partitions import HookSelector, enumerate_partitions
 from .reports import CertReport
 
 # Feasibility defaults for the partition-sum routes.  The partition counts
@@ -55,7 +54,6 @@ ROUTE_NAMES: tuple[str, ...] = (
     "binomials",
 )
 
-_LOCK = threading.RLock()
 _SIGMA: list[int] = [0]  # _SIGMA[k] = sigma(k); index 0 unused
 # _SCALED[n] = coefficients of n! * P_n(x), constant term first (all ints).
 _SCALED: list[tuple[int, ...]] = [(1,)]
@@ -70,35 +68,33 @@ def sigma(n: int) -> int:
 
 
 def _ensure_sigma(n: int) -> None:
-    with _LOCK:
-        if n < len(_SIGMA):
-            return
-        size = max(n, 2 * (len(_SIGMA) - 1), 16)
-        table = [0] * (size + 1)
-        for d in range(1, size + 1):
-            for m in range(d, size + 1, d):
-                table[m] += d
-        _SIGMA.clear()
-        _SIGMA.extend(table)
-        _SIGMA[0] = 0
+    if n < len(_SIGMA):
+        return
+    size = max(n, 2 * (len(_SIGMA) - 1), 16)
+    table = [0] * (size + 1)
+    for d in range(1, size + 1):
+        for m in range(d, size + 1, d):
+            table[m] += d
+    _SIGMA.clear()
+    _SIGMA.extend(table)
+    _SIGMA[0] = 0
 
 
 def _ensure_scaled(n: int) -> None:
     """Extend the memoized table of n! * P_n up to index n (all-integer)."""
-    with _LOCK:
-        while len(_SCALED) <= n:
-            m = len(_SCALED)
-            _ensure_sigma(m)
-            acc = [0] * m
-            falling = 1  # (m-1)! / (m-k)! for the current k
-            for k in range(1, m + 1):
-                w = _SIGMA[k] * falling
-                prev = _SCALED[m - k]
-                for i, c in enumerate(prev):
-                    acc[i] += w * c
-                falling *= m - k
-            # multiply by x: n! P_n = x * (accumulated polynomial)
-            _SCALED.append((0, *acc))
+    while len(_SCALED) <= n:
+        m = len(_SCALED)
+        _ensure_sigma(m)
+        acc = [0] * m
+        falling = 1  # (m-1)! / (m-k)! for the current k
+        for k in range(1, m + 1):
+            w = _SIGMA[k] * falling
+            prev = _SCALED[m - k]
+            for i, c in enumerate(prev):
+                acc[i] += w * c
+            falling *= m - k
+        # multiply by x: n! P_n = x * (accumulated polynomial)
+        _SCALED.append((0, *acc))
 
 
 def scaled_coeffs(n: int) -> tuple[int, ...]:
@@ -156,19 +152,9 @@ def darcais_poly(n: int) -> ExactPoly:
     return ExactPoly(Fraction(c, fact) for c in scaled_coeffs(n))
 
 
-def _shift_by_one_int(coeffs: Iterable[int]) -> list[int]:
-    """Taylor shift p(x) -> p(x+1) on an integer coefficient list."""
-    out = list(coeffs)
-    m = len(out)
-    for i in range(m - 1):
-        for j in range(m - 2, i - 1, -1):
-            out[j] += out[j + 1]
-    return out
-
-
 def q_scaled_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients of n! * Q_n(x) where Q_n(x) = P_n(x + 1)."""
-    return tuple(_shift_by_one_int(scaled_coeffs(n)))
+    return tuple(shift_by_one(scaled_coeffs(n)))
 
 
 def q_poly(n: int) -> ExactPoly:
@@ -184,19 +170,18 @@ def seed_records(records: Mapping[int, tuple[int, ...]]) -> None:
     computed values is compared and a mismatch raises, so a stale or
     corrupted store can never silently poison later computations.
     """
-    with _LOCK:
-        for n in sorted(records):
-            coeffs = (0, *records[n])
-            if n < len(_SCALED):
-                if _SCALED[n] != coeffs:
-                    raise ValueError(
-                        f"stored record for n={n} disagrees with computed values"
-                    )
-                continue
-            if n != len(_SCALED):
-                raise ValueError(f"records skip n={len(_SCALED)}")
-            DArcaisRecord(n, tuple(records[n]))  # validates shape
-            _SCALED.append(coeffs)
+    for n in sorted(records):
+        coeffs = (0, *records[n])
+        if n < len(_SCALED):
+            if _SCALED[n] != coeffs:
+                raise ValueError(
+                    f"stored record for n={n} disagrees with computed values"
+                )
+            continue
+        if n != len(_SCALED):
+            raise ValueError(f"records skip n={len(_SCALED)}")
+        DArcaisRecord(n, tuple(records[n]))  # validates shape
+        _SCALED.append(coeffs)
 
 
 # -- independent series oracle ----------------------------------------------
@@ -237,45 +222,7 @@ def euler_series_poly(n: int) -> ExactPoly:
     return ExactPoly(out)
 
 
-def finite_product_coefficient(exponent: int, n: int) -> int:
-    """[q^n] of prod_{d=1..n} (1 - q^d)^exponent, exponent a nonneg integer.
-
-    For positive integer m this equals P_n(-m): specializing the Euler
-    product at negative integers turns it into an honest finite product
-    with integer coefficients.  Used as a third, combinatorial oracle.
-    """
-    if exponent < 0 or n < 0:
-        raise ValueError("exponent and index must be nonnegative")
-    series = [0] * (n + 1)
-    series[0] = 1
-    for d in range(1, n + 1):
-        # multiply by (1 - q^d)^exponent, truncated at q^n
-        factor = [0] * (n + 1)
-        for i in range(0, n // d + 1):
-            if i > exponent:
-                break
-            factor[i * d] = (-1) ** i * math.comb(exponent, i)
-        nxt = [0] * (n + 1)
-        for a, ca in enumerate(series):
-            if not ca:
-                continue
-            for b in range(0, n - a + 1):
-                if factor[b]:
-                    nxt[a + b] += ca * factor[b]
-        series = nxt
-    return series[n]
-
-
 # -- partition-sum routes for Q_n --------------------------------------------
-
-
-def _imul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _hook_sum(n: int, selector: HookSelector, square: bool) -> ExactPoly:
@@ -298,7 +245,7 @@ def _hook_sum(n: int, selector: HookSelector, square: bool) -> ExactPoly:
             he = value**exp
             # (z + h^e)^mult expanded by the binomial theorem
             factor = [math.comb(mult, i) * he ** (mult - i) for i in range(mult + 1)]
-            numer = _imul(numer, factor)
+            numer = convolve(numer, factor)
             hook_prod *= he**mult
         scale = denom // hook_prod
         for i, c in enumerate(numer):
@@ -336,7 +283,7 @@ def binomial_sum(n: int) -> ExactPoly:
     # rising[k] = (z+1)(z+2)...(z+k), integer coefficients
     rising: list[list[int]] = [[1]]
     for k in range(1, n + 1):
-        rising.append(_imul(rising[-1], [k, 1]))
+        rising.append(convolve(rising[-1], [k, 1]))
     acc = [0] * (n + 1)
     for part in enumerate_partitions(n):
         numer = [1]
@@ -345,7 +292,7 @@ def binomial_sum(n: int) -> ExactPoly:
         for p in part.parts:
             seen[p] = seen.get(p, 0) + 1
         for mult in seen.values():
-            numer = _imul(numer, rising[mult])
+            numer = convolve(numer, rising[mult])
             fact_prod *= math.factorial(mult)
         scale = denom // fact_prod
         for i, c in enumerate(numer):

@@ -20,11 +20,11 @@ from typing import Sequence
 from .exactnum import (
     ExactPoly,
     Scalar,
-    _int_prem_signed,
-    _primitive_int_coeffs,
-    _primitive_part,
     poly_divmod,
     poly_gcd,
+    prem_signed,
+    primitive_int_coeffs,
+    primitive_part,
 )
 
 
@@ -85,13 +85,13 @@ class SturmChain:
     def build(cls, p: ExactPoly) -> SturmChain:
         if p.is_zero:
             raise ValueError("cannot build a Sturm chain for the zero polynomial")
-        f = _primitive_int_coeffs(p.coeffs)
+        f = primitive_int_coeffs(p.coeffs)
         if len(f) == 1:
             return cls((tuple(f),))
         fp = [k * c for k, c in enumerate(f)][1:]
-        chain = [f, _primitive_part(fp)]
+        chain = [f, primitive_part(fp)]
         while True:
-            r = _primitive_part(_int_prem_signed(chain[-2], chain[-1]))
+            r = primitive_part(prem_signed(chain[-2], chain[-1]))
             if not r:
                 break
             chain.append([-c for c in r])
@@ -295,7 +295,7 @@ def is_square_free(p: ExactPoly, chain: SturmChain | None = None) -> bool:
     deg = p.degree()
     if deg <= 1:
         return True
-    f = _primitive_int_coeffs(p.coeffs)
+    f = primitive_int_coeffs(p.coeffs)
     for prime in _SQFREE_PRIMES:
         if f[-1] % prime == 0 or (deg * f[-1]) % prime == 0:
             continue
@@ -373,7 +373,7 @@ def hurwitz_stable(p: ExactPoly) -> RouthVerdict:
     deg = p.degree()
     if deg == 0:
         return RouthVerdict(stable=True, marginal=False, stage=None)
-    ints = _primitive_int_coeffs(p.coeffs)
+    ints = primitive_int_coeffs(p.coeffs)
     desc = list(reversed(ints))
     if desc[0] < 0:
         desc = [-c for c in desc]
@@ -394,7 +394,7 @@ def hurwitz_stable(p: ExactPoly) -> RouthVerdict:
             a = prev[i + 1]
             b = cur[i + 1] if i + 1 < len(cur) else 0
             nxt.append(cur[0] * a - prev[0] * b)
-        rows.append(_primitive_part(nxt))
+        rows.append(primitive_part(nxt))
     return RouthVerdict(stable=True, marginal=False, stage=None)
 
 

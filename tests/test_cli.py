@@ -352,6 +352,20 @@ class TestCache:
         code, out, _ = run(capsys, "verify", "--conjecture", "1", "--max-n", "2")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("command", [["roots", "--n", "5"], ["poly", "--n", "5"]])
+    def test_cache_in_missing_directory_is_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "absent" / "records.cache"
+        code, out, err = run(capsys, *command, "--cache", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(path) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_cache_file_in_existing_directory_is_fine(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "roots", "--n", "5", "--cache", str(tmp_path / "new.cache"))
+        assert code == EXIT_OK
+        assert parse_lines(out)[0]["verdict"] == "pass"
+
     def test_failed_write_leaves_old_cache_intact(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "records.cache"
         run(capsys, "poly", "--n", "4", "--cache", str(path))

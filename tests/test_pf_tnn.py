@@ -15,7 +15,6 @@ from darcais.pf_tnn import (
     pf_test,
     toeplitz_minor,
     _det_bareiss,
-    _det_fraction,
 )
 
 # degree-8 cofactor of the n = 10 normalized numerator; not a PF sequence
@@ -152,19 +151,26 @@ class TestMinorEvaluation:
             matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert _det_bareiss(matrix) == det_cofactor(matrix)
 
-    def test_fraction_gauss_against_cofactor(self):
+    def test_rational_minors_against_cofactor(self):
         rng = random.Random(123)
         for _ in range(40):
-            n = rng.randint(1, 5)
-            matrix = [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-                for _ in range(n)
+            entries = [
+                Fraction(rng.randint(0, 9), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 6))
             ]
-            assert _det_fraction(matrix) == det_cofactor(matrix)
+            seq = ToeplitzSeq(tuple(entries))
+            order = rng.randint(1, 5)
+            spec = MinorSpec(
+                rows=tuple(sorted(rng.sample(range(8), order))),
+                cols=tuple(sorted(rng.sample(range(8), order))),
+            )
+            assert toeplitz_minor(seq, spec) == det_cofactor(window_matrix(seq, spec))
 
     def test_singular_matrix(self):
         assert _det_bareiss([[1, 2], [2, 4]]) == 0
-        assert _det_fraction([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
+        # rows 1-2, cols 0-1: a_1^2 - a_0 a_2 = 1 - 1
+        seq = ToeplitzSeq((Fraction(1, 2), 1, 2))
+        assert toeplitz_minor(seq, contiguous_minor_spec(2, row_start=1)) == 0
 
 
 class TestPFTest:
