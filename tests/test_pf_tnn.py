@@ -155,14 +155,14 @@ class TestMinorEvaluation:
         rng = random.Random(123)
         for _ in range(40):
             entries = [
-                Fraction(rng.randint(0, 9), rng.randint(1, 4))
+                Fraction(rng.randint(1, 9), rng.randint(1, 4))
                 for _ in range(rng.randint(1, 6))
             ]
             seq = ToeplitzSeq(tuple(entries))
             order = rng.randint(1, 5)
             spec = MinorSpec(
                 rows=tuple(sorted(rng.sample(range(8), order))),
-                cols=tuple(sorted(rng.sample(range(8), order))),
+                cols=tuple(sorted(rng.sample(range(5), order))),
             )
             assert toeplitz_minor(seq, spec) == det_cofactor(window_matrix(seq, spec))
 
