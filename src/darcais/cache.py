@@ -100,14 +100,15 @@ def write_cache(path: str | Path, max_n: int) -> None:
 
 
 def load_into_memo(path: str | Path) -> int:
-    """Read a cache file and seed the in-process memo; returns the largest
-    n loaded.  Raises CacheError on any validation or consistency failure."""
+    """Read a cache file and seed the in-process memo; returns the number
+    of records loaded, which is also the largest n (records run from 1 with
+    no gaps).  Raises CacheError on any validation or consistency failure."""
     records = read_cache(path)
     try:
         polynomials.seed_records(records)
     except ValueError as exc:
         raise CacheError(f"cache {path} rejected: {exc}") from exc
-    return max(records) if records else 0
+    return len(records)
 
 
 def default_cache_path() -> str | None:

@@ -63,13 +63,25 @@ def _cache_path(value: str) -> str:
     return value
 
 
-def _maybe_load_cache(args: argparse.Namespace) -> None:
-    """Seed the memo from --cache or the environment; a missing file is
-    fine for both (the parser has checked that --cache is creatable)."""
-    path = getattr(args, "cache", None) or cache_mod.default_cache_path()
+def _resolve_cache_path(args: argparse.Namespace) -> str | None:
+    """The cache file from --cache or else the environment.  The --cache
+    rule holds for both: the file may be missing, its directory not."""
+    path = getattr(args, "cache", None)
+    if path:
+        return path  # the parser has checked its directory
+    path = cache_mod.default_cache_path()
+    if path and not Path(path).parent.is_dir():
+        raise _fail(f"{cache_mod.CACHE_ENV_VAR}={path}: directory does not exist")
+    return path
+
+
+def _maybe_load_cache(args: argparse.Namespace) -> int:
+    """Seed the memo from the resolved cache file, if it exists; returns
+    the number of records loaded."""
+    path = args._cache_path
     if path and Path(path).exists():
-        cache_mod.load_into_memo(path)
-    args._cache_path = path
+        return cache_mod.load_into_memo(path)
+    return 0
 
 
 def _parse_poly_argument(value: str) -> ExactPoly:
@@ -113,7 +125,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
     n = args.n
     if n < 0:
         raise _fail("--n must be nonnegative")
-    _maybe_load_cache(args)
+    loaded = _maybe_load_cache(args)
     if args.normalized and n < 1:
         raise _fail("normalized records are defined for n >= 1")
     if args.normalized:
@@ -128,11 +140,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
             print("0")
         else:
             print(" ".join(str(c) for c in poly.coeffs))
-    path = getattr(args, "_cache_path", None)
-    if path and n >= 1:
-        existing = cache_mod.read_cache(path) if Path(path).exists() else {}
-        if n > len(existing):
-            cache_mod.write_cache(path, n)
+    if args._cache_path and n > loaded:
+        cache_mod.write_cache(args._cache_path, n)
     return EXIT_OK
 
 
@@ -529,6 +538,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        args._cache_path = _resolve_cache_path(args)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -37,15 +38,15 @@ def convolve(a: Sequence, b: Sequence) -> list:
 def shift_by_one(coeffs: Iterable) -> list:
     """Taylor shift p(x) -> p(x + 1) by repeated Horner passes, O(deg^2).
 
-    The loop only adds: one that multiplies by c in every step, for a
-    general p(x + c), is about a third slower on the shape sweeps.
+    Pass k turns the top k coefficients into their suffix sums, run as a
+    C-level prefix sum over the reversed list.  The passes only add: one
+    that multiplies by c in every step, for a general p(x + c), is about a
+    third slower on the shape sweeps.
     """
-    out = list(coeffs)
-    m = len(out)
-    for i in range(m - 1):
-        for j in range(m - 2, i - 1, -1):
-            out[j] += out[j + 1]
-    return out
+    rev = list(coeffs)[::-1]
+    for k in range(len(rev), 1, -1):
+        rev[:k] = accumulate(rev[:k])
+    return rev[::-1]
 
 
 def primitive_part(ints: Iterable[int]) -> list[int]:

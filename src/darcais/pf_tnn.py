@@ -51,16 +51,6 @@ class ToeplitzSeq:
                     "are nonnegative by definition"
                 )
 
-    def entry(self, i: int, j: int) -> Fraction:
-        k = i - j
-        if 0 <= k < len(self.entries):
-            return self.entries[k]
-        return Fraction(0)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(e.denominator == 1 for e in self.entries)
-
     def attached_poly(self) -> ExactPoly:
         """The generating polynomial sum a_k x^k."""
         return ExactPoly(self.entries)

@@ -81,18 +81,25 @@ def _ensure_sigma(n: int) -> None:
 
 
 def _ensure_scaled(n: int) -> None:
-    """Extend the memoized table of n! * P_n up to index n (all-integer)."""
+    """Extend the memoized table of n! * P_n up to index n (all-integer).
+
+    With R_j = j! * P_j, the recursion reads
+        R_m = x * sum_{k=1..m} sigma(k) * (m-1)!/(m-k)! * R_{m-k},
+    evaluated in Horner form: acc <- sigma(k) * R_{m-k} + (m-k) * acc for
+    k = m-1 .. 1, from acc = [sigma(m)].  Every product is then a small
+    int times one table entry, never a factorial-sized weight.
+    """
     while len(_SCALED) <= n:
         m = len(_SCALED)
         _ensure_sigma(m)
-        acc = [0] * m
-        falling = 1  # (m-1)! / (m-k)! for the current k
-        for k in range(1, m + 1):
-            w = _SIGMA[k] * falling
-            prev = _SCALED[m - k]
-            for i, c in enumerate(prev):
-                acc[i] += w * c
-            falling *= m - k
+        acc = [_SIGMA[m]]
+        for k in range(m - 1, 0, -1):
+            f = m - k
+            s = _SIGMA[k]
+            prev = _SCALED[f]
+            # one fused pass; prev is one entry longer than acc
+            acc = [f * a + s * c for a, c in zip(acc, prev)]
+            acc.append(s * prev[-1])
         # multiply by x: n! P_n = x * (accumulated polynomial)
         _SCALED.append((0, *acc))
 

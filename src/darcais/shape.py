@@ -17,7 +17,6 @@ Fraction in its hot loop.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,16 +95,21 @@ def is_log_concave(seq: Sequence[Number]) -> ShapeVerdict:
 def is_ultra_log_concave(seq: Sequence[Number]) -> ShapeVerdict:
     """Log-concavity of a_j / C(n, j) with n = len(seq) - 1.
 
-    Checked by integer cross-multiplication,
+    The defining inequality
         a_j^2 C(n, j-1) C(n, j+1) >= a_{j-1} a_{j+1} C(n, j)^2,
-    so no division ever happens and exactness is free.
+    divided by the positive C(n, j)^2 j (n-j) / ((j+1) (n-j+1)), becomes
+        a_j^2 j (n-j) >= a_{j-1} a_{j+1} (j+1) (n-j+1),
+    checked by integer cross-multiplication: no division and no binomial
+    ever happens, so exactness is free.
     """
     values = _validate(seq)
     n = len(values) - 1
     for j in range(1, n):
-        lhs = values[j] * values[j] * math.comb(n, j - 1) * math.comb(n, j + 1)
-        rhs = values[j - 1] * values[j + 1] * math.comb(n, j) ** 2
-        if lhs < rhs:
+        v = values[j]
+        # the small factors are multiplied together first, so each side
+        # costs one big x big and one big x small product
+        lhs = v * v * (j * (n - j))
+        if lhs < values[j - 1] * values[j + 1] * ((j + 1) * (n - j + 1)):
             return ShapeVerdict(ultra_log_concave=False, failure_witness=j)
     return ShapeVerdict(ultra_log_concave=True)
 

@@ -2,14 +2,18 @@
 
 Each is an independent route to a quantity the package computes another
 way: generalized binomials, the finite-product specialization P_n(-m),
-part multiplicities, and standard Young tableau counts from the hook
-length formula.
+part multiplicities, standard Young tableau counts from the hook length
+formula, and Toeplitz matrix entries.  The last three are the plain,
+direct forms of the package's fast kernels (the divisor-sum recursion,
+the Taylor shift and the ultra-log-concavity test), kept so each kernel
+can be checked against its textbook statement.
 """
 
 import math
 from fractions import Fraction
 
 from darcais.partitions import HookMultiset, HookSelector, Partition
+from darcais.pf_tnn import ToeplitzSeq
 
 
 class HookConsistencyError(ArithmeticError):
@@ -94,3 +98,60 @@ def count_syt(partition: Partition) -> int:
             f"hook product {denom} does not divide {n}! for {partition!r}"
         )
     return count
+
+
+def toeplitz_entry(seq: ToeplitzSeq, i: int, j: int) -> Fraction:
+    """Entry (i, j) of the infinite Toeplitz matrix of seq: a_{i-j}, zero
+    outside the stored range."""
+    k = i - j
+    if 0 <= k < len(seq.entries):
+        return seq.entries[k]
+    return Fraction(0)
+
+
+def is_integral(seq: ToeplitzSeq) -> bool:
+    """True when every entry of seq is an integer."""
+    return all(e.denominator == 1 for e in seq.entries)
+
+
+def scaled_coeffs_direct(n: int) -> list[tuple[int, ...]]:
+    """n! * P_n for 0..n by the divisor-sum recursion as written,
+
+        m! P_m = x * sum_{k=1..m} sigma(k) * (m-1)!/(m-k)! * (m-k)! P_{m-k},
+
+    one factorial-sized weight per term, no Horner nesting.  sigma is
+    summed over divisors by trial division."""
+    sigma = [0] + [sum(d for d in range(1, k + 1) if k % d == 0) for k in range(1, n + 1)]
+    table: list[tuple[int, ...]] = [(1,)]
+    for m in range(1, n + 1):
+        acc = [0] * m
+        falling = 1  # (m-1)! / (m-k)! for the current k
+        for k in range(1, m + 1):
+            w = sigma[k] * falling
+            for i, c in enumerate(table[m - k]):
+                acc[i] += w * c
+            falling *= m - k
+        table.append((0, *acc))
+    return table
+
+
+def shift_by_one_loop(coeffs) -> list:
+    """p(x) -> p(x + 1) by nested Horner passes, one addition at a time."""
+    out = list(coeffs)
+    m = len(out)
+    for i in range(m - 1):
+        for j in range(m - 2, i - 1, -1):
+            out[j] += out[j + 1]
+    return out
+
+
+def ulc_witness_comb(values) -> int | None:
+    """First j where a_j / C(n, j) breaks log-concavity, n = len - 1, by
+    the cross-multiplied binomial form; None if there is none."""
+    n = len(values) - 1
+    for j in range(1, n):
+        lhs = values[j] * values[j] * math.comb(n, j - 1) * math.comb(n, j + 1)
+        rhs = values[j - 1] * values[j + 1] * math.comb(n, j) ** 2
+        if lhs < rhs:
+            return j
+    return None

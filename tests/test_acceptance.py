@@ -35,7 +35,7 @@ from darcais.rootcert import (
     verify_factorization,
 )
 from darcais.shape import is_unimodal, shape_report, shape_summary
-from oracles import count_syt
+from oracles import count_syt, toeplitz_entry
 
 X = ExactPoly([0, 1])
 
@@ -120,7 +120,10 @@ def test_criterion_04_pf_counterexample_certificates():
         assert witness.spec.rows == tuple(range(3, 29))
         assert witness.spec.cols == tuple(range(0, 26))
         assert witness.determinant == R_WITNESS_DET < 0
-        matrix = [[int(seq.entry(i, j)) for j in witness.spec.cols] for i in witness.spec.rows]
+        matrix = [
+            [int(toeplitz_entry(seq, i, j)) for j in witness.spec.cols]
+            for i in witness.spec.rows
+        ]
         assert _det_bareiss(matrix) == witness.determinant
         assert verdict.is_pf == is_real_rooted(seq.attached_poly())
 

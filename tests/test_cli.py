@@ -361,6 +361,26 @@ class TestCache:
         assert str(path) in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["poly", "--n", "3"], ["shape", "--max-n", "3"]])
+    def test_environment_cache_in_missing_directory_is_rejected(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        path = tmp_path / "absent" / "records.cache"
+        monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(path))
+        code, out, err = run(capsys, *command)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert cache_mod.CACHE_ENV_VAR in err and str(path) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_explicit_cache_overrides_environment(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(tmp_path / "absent" / "x.cache"))
+        path = tmp_path / "records.cache"
+        code, out, _ = run(capsys, "poly", "--n", "3", "--cache", str(path))
+        assert code == EXIT_OK
+        assert out == "0 4/3 3/2 1/6\n"
+        assert sorted(cache_mod.read_cache(path)) == [1, 2, 3]
+
     def test_missing_cache_file_in_existing_directory_is_fine(self, capsys, tmp_path):
         code, out, _ = run(capsys, "roots", "--n", "5", "--cache", str(tmp_path / "new.cache"))
         assert code == EXIT_OK

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darcais.exactnum import ExactPoly, poly_divmod, poly_gcd
-from oracles import binomial
+from darcais.exactnum import ExactPoly, poly_divmod, poly_gcd, shift_by_one
+from oracles import binomial, shift_by_one_loop
 
 
 def P(*coeffs):
@@ -167,6 +167,37 @@ class TestKaratsuba:
         b = ExactPoly([1, 1])
         prod = a * b
         assert prod.coeffs == (1,) + tuple(2 for _ in range(99)) + (1,)
+
+
+class TestShiftByOne:
+    def test_short_lists(self):
+        assert shift_by_one([]) == []
+        assert shift_by_one([7]) == [7]
+        assert shift_by_one([3, 2]) == [5, 2]
+        assert shift_by_one([Fraction(1, 2), Fraction(-1, 3)]) == [
+            Fraction(1, 6),
+            Fraction(-1, 3),
+        ]
+
+    def test_binomial_rows(self):
+        # x^k -> (x + 1)^k
+        for k in range(8):
+            assert shift_by_one([0] * k + [1]) == [binomial(k, i) for i in range(k + 1)]
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.lists(st.integers(-(10**30), 10**30), min_size=0, max_size=40))
+    def test_matches_nested_loop_on_ints(self, coeffs):
+        assert shift_by_one(coeffs) == shift_by_one_loop(coeffs)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.lists(rationals, min_size=0, max_size=20))
+    def test_matches_nested_loop_on_fractions(self, coeffs):
+        assert shift_by_one(coeffs) == shift_by_one_loop(coeffs)
+
+    def test_input_is_not_modified(self):
+        coeffs = [1, 2, 3]
+        shift_by_one(coeffs)
+        assert coeffs == [1, 2, 3]
 
 
 class TestBinomial:

@@ -24,7 +24,12 @@ from darcais.polynomials import (
     sigma,
     verify_identity,
 )
-from oracles import binomial, finite_product_coefficient, multiplicity_vector
+from oracles import (
+    binomial,
+    finite_product_coefficient,
+    multiplicity_vector,
+    scaled_coeffs_direct,
+)
 
 # the degree-8 cofactor of the n = 10 polynomial: normalized numerator
 # divided by (x + 1)
@@ -103,6 +108,11 @@ class TestRecursion:
             DArcaisRecord(3, (8, 9))  # wrong length
         with pytest.raises(ValueError):
             DArcaisRecord(2, (3, 2))  # not monic-normalized
+
+    def test_horner_nesting_matches_direct_sum(self):
+        # the memoized table uses the Horner-nested form of the recursion
+        for m, direct in enumerate(scaled_coeffs_direct(150)):
+            assert scaled_coeffs(m) == direct, m
 
 
 class TestSeriesOracle:

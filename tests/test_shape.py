@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from darcais.exactnum import ExactPoly
 from darcais.polynomials import q_scaled_coeffs
@@ -17,6 +17,7 @@ from darcais.shape import (
     shape_report,
     shape_summary,
 )
+from oracles import ulc_witness_comb
 
 # degree-6 cofactor of the n = 11 normalized numerator: positive and
 # real-rooted, hence ultra-log-concave by Newton's inequalities
@@ -83,6 +84,29 @@ class TestUltraLogConcave:
 
     def test_degree6_cofactor_is_ulc(self):
         assert is_ultra_log_concave(RT_COEFFS).ultra_log_concave is True
+
+    def test_matches_binomial_form_on_q_n(self):
+        for n in range(0, 151):
+            seq = q_scaled_coeffs(n)
+            verdict = is_ultra_log_concave(seq)
+            assert ulc_witness_comb(seq) is None
+            assert verdict == ShapeVerdict(ultra_log_concave=True), n
+
+    def test_matches_binomial_form_on_doctored_q_n(self):
+        # one entry nudged up or down by a unit in the last place: the
+        # inequalities are tight enough that some of these fail
+        rng = random.Random(5)
+        failures = 0
+        for n in range(2, 151):
+            seq = list(q_scaled_coeffs(n))
+            j = rng.randrange(len(seq))
+            seq[j] += rng.choice((-1, 1)) * max(1, seq[j] // 10**6)
+            expected = ulc_witness_comb(seq)
+            verdict = is_ultra_log_concave(seq)
+            assert verdict.ultra_log_concave is (expected is None)
+            assert verdict.failure_witness == expected
+            failures += expected is not None
+        assert failures > 0
 
     def test_scale_invariance(self):
         seqs = [(1, 4, 6, 4, 1), (1, 1, 2), (2, 5, 3), (1, 0, 1)]
@@ -191,3 +215,41 @@ def test_summary_never_breaks_implication_chain(values):
         # the dip really sits below a neighbor on each side
         assert any(values[i] > values[w] for i in range(w))
         assert any(values[i] > values[w] for i in range(w + 1, len(values)))
+
+
+def _binomial_row_perturbed(draw_args):
+    n, scale, deltas = draw_args
+    row = [scale * math.comb(n, k) for k in range(n + 1)]
+    return [max(0, v + d) for v, d in zip(row, deltas)]
+
+
+binomial_rows = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(1, 1000),
+        st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1),
+    )
+).map(_binomial_row_perturbed)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 50), min_size=1, max_size=10),
+        st.lists(st.integers(0, 10**40), min_size=1, max_size=10),
+        binomial_rows,
+    )
+)
+@example([0])
+@example([0, 0, 0])
+@example([1, 0, 1])
+@example([0, 1, 1, 0])
+@example([1, 2, 1])
+@example([1, 1, 1])
+def test_ulc_matches_binomial_form(values):
+    # binomial rows are exactly on the ULC boundary, so their small
+    # perturbations land on both sides of it
+    expected = ulc_witness_comb(values)
+    verdict = is_ultra_log_concave(values)
+    assert verdict.ultra_log_concave is (expected is None)
+    assert verdict.failure_witness == expected

@@ -21,3 +21,45 @@ def test_no_private_names_imported_across_modules():
                 if alias.name.startswith("_"):
                     offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert offenders == []
+
+
+def _called_names(func: ast.FunctionDef) -> set[str]:
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            target = node.func
+            if isinstance(target, ast.Name):
+                names.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                names.add(target.attr)
+    return names
+
+
+def test_series_oracle_shares_no_code_with_the_recursion():
+    # euler_series_poly is the oracle the divisor-sum recursion is checked
+    # against; any package function both reach (directly or through other
+    # package functions) would let one bug pass both routes
+    defined: dict[str, ast.AST] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, node)
+
+    def reach(name: str) -> set[str]:
+        seen: set[str] = set()
+        todo = [name]
+        while todo:
+            node = defined[todo.pop()]
+            if not isinstance(node, ast.FunctionDef):
+                continue  # classes count as one name, not followed
+            for called in _called_names(node) & defined.keys():
+                if called not in seen:
+                    seen.add(called)
+                    todo.append(called)
+        return seen
+
+    recursion = reach("_ensure_scaled")
+    oracle = reach("euler_series_poly")
+    assert "_ensure_sigma" in recursion  # the walk does see package calls
+    assert recursion & oracle == set()
