@@ -97,7 +97,7 @@ def is_ultra_log_concave(seq: Sequence[Number]) -> ShapeVerdict:
 
     The defining inequality
         a_j^2 C(n, j-1) C(n, j+1) >= a_{j-1} a_{j+1} C(n, j)^2,
-    divided by the positive C(n, j)^2 j (n-j) / ((j+1) (n-j+1)), becomes
+    divided by the positive C(n, j)^2 / ((j+1) (n-j+1)), becomes
         a_j^2 j (n-j) >= a_{j-1} a_{j+1} (j+1) (n-j+1),
     checked by integer cross-multiplication: no division and no binomial
     ever happens, so exactness is free.

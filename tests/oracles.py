@@ -3,10 +3,10 @@
 Each is an independent route to a quantity the package computes another
 way: generalized binomials, the finite-product specialization P_n(-m),
 part multiplicities, standard Young tableau counts from the hook length
-formula, and Toeplitz matrix entries.  The last three are the plain,
-direct forms of the package's fast kernels (the divisor-sum recursion,
-the Taylor shift and the ultra-log-concavity test), kept so each kernel
-can be checked against its textbook statement.
+formula, and Toeplitz matrix entries.  It also keeps the plain, direct
+forms of three fast package kernels (the divisor-sum recursion, the
+Taylor shift and the ultra-log-concavity test), so each kernel can be
+checked against its textbook statement.
 """
 
 import math

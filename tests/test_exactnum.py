@@ -179,11 +179,6 @@ class TestShiftByOne:
             Fraction(-1, 3),
         ]
 
-    def test_binomial_rows(self):
-        # x^k -> (x + 1)^k
-        for k in range(8):
-            assert shift_by_one([0] * k + [1]) == [binomial(k, i) for i in range(k + 1)]
-
     @settings(derandomize=True, max_examples=200)
     @given(st.lists(st.integers(-(10**30), 10**30), min_size=0, max_size=40))
     def test_matches_nested_loop_on_ints(self, coeffs):

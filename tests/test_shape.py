@@ -93,20 +93,20 @@ class TestUltraLogConcave:
             assert verdict == ShapeVerdict(ultra_log_concave=True), n
 
     def test_matches_binomial_form_on_doctored_q_n(self):
-        # one entry nudged up or down by a unit in the last place: the
-        # inequalities are tight enough that some of these fail
+        # one entry moved up or down by a twentieth of itself: about two
+        # thirds of these break ultra-log-concavity, the rest keep it
         rng = random.Random(5)
         failures = 0
         for n in range(2, 151):
             seq = list(q_scaled_coeffs(n))
             j = rng.randrange(len(seq))
-            seq[j] += rng.choice((-1, 1)) * max(1, seq[j] // 10**6)
+            seq[j] += rng.choice((-1, 1)) * max(1, seq[j] // 20)
             expected = ulc_witness_comb(seq)
             verdict = is_ultra_log_concave(seq)
             assert verdict.ultra_log_concave is (expected is None)
             assert verdict.failure_witness == expected
             failures += expected is not None
-        assert failures > 0
+        assert 0 < failures < 149
 
     def test_scale_invariance(self):
         seqs = [(1, 4, 6, 4, 1), (1, 1, 2), (2, 5, 3), (1, 0, 1)]
