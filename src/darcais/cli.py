@@ -406,27 +406,28 @@ def cmd_shape(args: argparse.Namespace) -> int:
         )
     _maybe_load_cache(args)
     override = _parse_doctor(args.doctor) if args.doctor else None
-    reports = shape.shape_report(range(1, args.max_n + 1), override=override)
     if args.format == "csv":
         print("n,unimodal,log_concave,ultra_log_concave,peak_index")
-        for rep in reports:
+    # one n at a time, each row flushed as it is done, so a long run shows
+    # its progress and a stopped run keeps every finished row
+    for n in range(1, args.max_n + 1):
+        (rep,) = shape.shape_report((n,), override=override)
+        if args.format == "csv":
             d = rep.details
             print(
-                f"{rep.target['n']},{int(bool(d['unimodal']))},"
+                f"{n},{int(bool(d['unimodal']))},"
                 f"{int(bool(d['log_concave']))},{int(bool(d['ultra_log_concave']))},"
                 f"{d['peak_index'] if d['peak_index'] is not None else ''}"
             )
-    else:
-        for rep in reports:
+        else:
             _print_report(rep)
-    failed = [rep for rep in reports if not rep.passed]
-    if failed:
-        bad = failed[0]
-        sys.stderr.write(
-            f"shape failure at n={bad.target['n']}: witness index "
-            f"{bad.witnesses[0]['failure_witness']}\n"
-        )
-        return EXIT_MATH_FAIL
+        sys.stdout.flush()
+        if not rep.passed:
+            sys.stderr.write(
+                f"shape failure at n={n}: witness index "
+                f"{rep.witnesses[0]['failure_witness']}\n"
+            )
+            return EXIT_MATH_FAIL
     return EXIT_OK
 
 

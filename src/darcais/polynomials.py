@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import ExactPoly, convolve, shift_by_one
+from .exactnum import ExactPoly, shift_by_one
 from .partitions import HookSelector, enumerate_partitions
 from .reports import CertReport
 
@@ -232,32 +232,70 @@ def euler_series_poly(n: int) -> ExactPoly:
 # -- partition-sum routes for Q_n --------------------------------------------
 
 
+def _packed_slot(denom: int, n: int) -> int:
+    """Bit width of one coefficient slot for a packed partition sum over n.
+
+    Each route below evaluates its integer polynomial sum_lambda
+    (denom / w_lambda) * prod (z + c) at z = 2^slot, c > 0, w_lambda the
+    product of the c.  All coefficients are >= 0, so each is at most the
+    value at z = 1: denom * sum_lambda prod (1 + c) / c <= denom * 2^n * p(n)
+    < denom * 4^n, since (1 + c) / c <= 2, there are at most n factors, and
+    p(n) <= 2^(n-1).  A slot of denom.bit_length() + 2n + 1 bits therefore
+    holds every coefficient with room to spare, and no carry crosses slots.
+    """
+    return denom.bit_length() + 2 * n + 1
+
+
+def _read_slots(total: int, slot: int, count: int) -> list[int]:
+    """The count coefficients packed in total, slot bits each, lowest first.
+
+    Raises if any bit remains above the top slot: a coefficient then
+    overflowed its slot and the lower ones cannot be trusted either.
+    """
+    mask = (1 << slot) - 1
+    coeffs = []
+    for _ in range(count):
+        coeffs.append(total & mask)
+        total >>= slot
+    if total:
+        raise ArithmeticError(f"packed sum overflows its top {slot}-bit slot")
+    return coeffs
+
+
+def _exact_quotient(denom: int, divisor: int) -> int:
+    """denom / divisor, raising unless the division is exact."""
+    scale, rest = divmod(denom, divisor)
+    if rest:
+        raise ArithmeticError(f"{divisor} does not divide the denominator {denom}")
+    return scale
+
+
 def _hook_sum(n: int, selector: HookSelector, square: bool) -> ExactPoly:
     """sum over partitions of n of prod_{h in hooks} (1 + z / h^e), e in {1,2}.
 
     Accumulated over a common integer denominator: n!^e is divisible by
     every per-partition hook product (once for the trivial selectors,
     squared for the full multiset), so the whole sum stays in integer
-    arithmetic until the final division.
+    arithmetic until the final division.  Each partition's prod (z + h^e)
+    is one integer, evaluated at z = 2^slot (see _packed_slot); the n + 1
+    coefficients of the scaled total are read off once at the end.
     """
     if n < 1:
         raise ValueError("partition sums are defined for n >= 1")
     exp = 2 if square else 1
     denom = math.factorial(n) ** exp
-    acc = [0] * (n + 1)
+    slot = _packed_slot(denom, n)
+    z = 1 << slot
+    total = 0
     for part in enumerate_partitions(n):
-        numer = [1]
+        value = 1
         hook_prod = 1
-        for value, mult in part.hooks(selector).counts:
-            he = value**exp
-            # (z + h^e)^mult expanded by the binomial theorem
-            factor = [math.comb(mult, i) * he ** (mult - i) for i in range(mult + 1)]
-            numer = convolve(numer, factor)
+        for h, mult in part.hooks(selector).counts:
+            he = h**exp
+            value *= (z + he) ** mult
             hook_prod *= he**mult
-        scale = denom // hook_prod
-        for i, c in enumerate(numer):
-            acc[i] += c * scale
-    return ExactPoly(Fraction(c, denom) for c in acc)
+        total += value * _exact_quotient(denom, hook_prod)
+    return ExactPoly(Fraction(c, denom) for c in _read_slots(total, slot, n + 1))
 
 
 def hook_sum_full(n: int) -> ExactPoly:
@@ -287,24 +325,24 @@ def binomial_sum(n: int) -> ExactPoly:
     if n < 1:
         raise ValueError("partition sums are defined for n >= 1")
     denom = math.factorial(n)
-    # rising[k] = (z+1)(z+2)...(z+k), integer coefficients
-    rising: list[list[int]] = [[1]]
+    slot = _packed_slot(denom, n)
+    z = 1 << slot
+    # rising[k] = (z+1)(z+2)...(z+k) at z = 2^slot
+    rising = [1]
     for k in range(1, n + 1):
-        rising.append(convolve(rising[-1], [k, 1]))
-    acc = [0] * (n + 1)
+        rising.append(rising[-1] * (z + k))
+    total = 0
     for part in enumerate_partitions(n):
-        numer = [1]
+        value = 1
         fact_prod = 1
         seen: dict[int, int] = {}
         for p in part.parts:
             seen[p] = seen.get(p, 0) + 1
         for mult in seen.values():
-            numer = convolve(numer, rising[mult])
+            value *= rising[mult]
             fact_prod *= math.factorial(mult)
-        scale = denom // fact_prod
-        for i, c in enumerate(numer):
-            acc[i] += c * scale
-    return ExactPoly(Fraction(c, denom) for c in acc)
+        total += value * _exact_quotient(denom, fact_prod)
+    return ExactPoly(Fraction(c, denom) for c in _read_slots(total, slot, n + 1))
 
 
 # -- cross-route verification -------------------------------------------------

@@ -49,8 +49,19 @@ class ShapeVerdict:
     failure_witness: int | None = None
 
 
+class _Checked(list):
+    """A list of entries that _validate has already accepted."""
+
+
 def _validate(seq: Sequence[Number]) -> list[Number]:
-    values = list(seq)
+    """seq as a nonempty list of nonnegative entries, or ValueError.
+
+    The list is a _Checked, which passes through again unscanned, so
+    shape_summary checks its input once and not again in each predicate.
+    """
+    if type(seq) is _Checked:
+        return seq
+    values = _Checked(seq)
     if not values:
         raise ValueError("shape predicates need a nonempty sequence")
     for k, v in enumerate(values):

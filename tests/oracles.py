@@ -4,15 +4,17 @@ Each is an independent route to a quantity the package computes another
 way: generalized binomials, the finite-product specialization P_n(-m),
 part multiplicities, standard Young tableau counts from the hook length
 formula, and Toeplitz matrix entries.  It also keeps the plain, direct
-forms of three fast package kernels (the divisor-sum recursion, the
-Taylor shift and the ultra-log-concavity test), so each kernel can be
-checked against its textbook statement.
+forms of five fast package kernels (the divisor-sum recursion, the
+Taylor shift, the ultra-log-concavity test, and the hook and binomial
+partition sums with their coefficient lists expanded), so each kernel
+can be checked against its textbook statement.
 """
 
 import math
 from fractions import Fraction
 
-from darcais.partitions import HookMultiset, HookSelector, Partition
+from darcais.exactnum import ExactPoly, convolve
+from darcais.partitions import HookMultiset, HookSelector, Partition, enumerate_partitions
 from darcais.pf_tnn import ToeplitzSeq
 
 
@@ -155,3 +157,48 @@ def ulc_witness_comb(values) -> int | None:
         if lhs < rhs:
             return j
     return None
+
+
+def hook_sum_convolve(n: int, selector: HookSelector, square: bool) -> ExactPoly:
+    """sum over partitions of n of prod_{h in hooks} (1 + z / h^e), e = 2 if
+    square else 1, with each (z + h^e)^mult expanded by the binomial
+    theorem and multiplied in as a coefficient list."""
+    exp = 2 if square else 1
+    denom = math.factorial(n) ** exp
+    acc = [0] * (n + 1)
+    for part in enumerate_partitions(n):
+        numer = [1]
+        hook_prod = 1
+        for value, mult in part.hooks(selector).counts:
+            he = value**exp
+            factor = [math.comb(mult, i) * he ** (mult - i) for i in range(mult + 1)]
+            numer = convolve(numer, factor)
+            hook_prod *= he**mult
+        scale = denom // hook_prod
+        for i, c in enumerate(numer):
+            acc[i] += c * scale
+    return ExactPoly(Fraction(c, denom) for c in acc)
+
+
+def binomial_sum_convolve(n: int) -> ExactPoly:
+    """sum over partitions of n of prod_j C(k_j + z, k_j), k_j the number of
+    parts equal to j, with each rising factorial (z+1)...(z+k) kept as a
+    coefficient list."""
+    denom = math.factorial(n)
+    rising: list[list[int]] = [[1]]
+    for k in range(1, n + 1):
+        rising.append(convolve(rising[-1], [k, 1]))
+    acc = [0] * (n + 1)
+    for part in enumerate_partitions(n):
+        numer = [1]
+        fact_prod = 1
+        seen: dict[int, int] = {}
+        for p in part.parts:
+            seen[p] = seen.get(p, 0) + 1
+        for mult in seen.values():
+            numer = convolve(numer, rising[mult])
+            fact_prod *= math.factorial(mult)
+        scale = denom // fact_prod
+        for i, c in enumerate(numer):
+            acc[i] += c * scale
+    return ExactPoly(Fraction(c, denom) for c in acc)

@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from darcais import cache as cache_mod
-from darcais import rootcert
+from darcais import polynomials, rootcert
 from darcais.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from darcais.pf_tnn import ToeplitzSeq, pf_test
 from darcais.polynomials import darcais_record
@@ -282,6 +284,56 @@ class TestShape:
         assert len(lines) == 6  # header + n = 1..5, aborted at the failure
         assert lines[-1].split(",")[3] == "0"
         assert "n=5" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_rows_are_flushed_as_each_n_finishes(self, capsys, monkeypatch, fmt):
+        code, full, _ = run(capsys, "shape", "--max-n", "12", "--format", fmt)
+        assert code == EXIT_OK
+        # a buffered stdout: only flushed bytes reach `raw`
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+        real_source = polynomials.q_scaled_coeffs
+        written = []
+
+        class Stopped(Exception):
+            pass
+
+        def source(n):
+            if n == 7:
+                written.append(raw.getvalue().decode("ascii"))
+                raise Stopped
+            return real_source(n)
+
+        monkeypatch.setattr(polynomials, "q_scaled_coeffs", source)
+        with pytest.raises(Stopped):
+            main(["shape", "--max-n", "12", "--format", fmt])
+        def rows(out):
+            # timings vary from run to run; everything else must match
+            return [
+                {**json.loads(line), "timings": None} if line.startswith("{") else line
+                for line in out.splitlines()
+            ]
+
+        header = 1 if fmt == "csv" else 0
+        (out,) = written
+        assert rows(out) == rows(full)[: header + 6]  # n = 1..6
+
+    def test_failing_row_is_flushed_before_the_error(self, monkeypatch):
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+        at_error = []
+
+        class Stderr:
+            def write(self, text):
+                at_error.append((raw.getvalue().decode("ascii"), text))
+
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        assert main(["shape", "--max-n", "12", "--doctor", "5:1:1"]) == EXIT_MATH_FAIL
+        (out, err), = at_error
+        lines = out.splitlines()
+        assert len(lines) == 6  # header + n = 1..5
+        assert lines[-1].startswith("5,") and lines[-1].split(",")[3] == "0"
+        assert err.startswith("shape failure at n=5:")
 
     def test_desk_limit(self, capsys):
         code, _, err = run(capsys, "shape", "--max-n", "400")

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darcais.exactnum import ExactPoly
-from darcais.partitions import Partition, enumerate_partitions, partition_count
+from darcais.partitions import HookSelector, Partition, enumerate_partitions, partition_count
 from darcais.polynomials import (
+    _exact_quotient,
+    _read_slots,
     DArcaisRecord,
     binomial_sum,
     darcais_poly,
@@ -26,7 +28,9 @@ from darcais.polynomials import (
 )
 from oracles import (
     binomial,
+    binomial_sum_convolve,
     finite_product_coefficient,
+    hook_sum_convolve,
     multiplicity_vector,
     scaled_coeffs_direct,
 )
@@ -180,6 +184,42 @@ class TestHookRoutes:
         for fn in (hook_sum_full, hook_sum_trivial_leg, hook_sum_trivial_arm, binomial_sum):
             with pytest.raises(ValueError):
                 fn(0)
+
+    @pytest.mark.parametrize(
+        "route, selector, square, top",
+        [
+            (hook_sum_full, HookSelector.FULL, True, 16),
+            (hook_sum_trivial_leg, HookSelector.TRIVIAL_LEG, False, 20),
+            (hook_sum_trivial_arm, HookSelector.TRIVIAL_ARM, False, 20),
+        ],
+    )
+    def test_packed_hook_sums_match_expanded_products(self, route, selector, square, top):
+        for n in range(1, top + 1):
+            assert route(n) == hook_sum_convolve(n, selector, square), n
+
+    def test_packed_binomial_sum_matches_expanded_products(self):
+        for n in range(1, 21):
+            assert binomial_sum(n) == binomial_sum_convolve(n), n
+
+    def test_read_slots_round_trips_full_slots(self):
+        slot = 7
+        coeffs = [0, (1 << slot) - 1, 5, (1 << slot) - 1]
+        total = sum(c << (slot * i) for i, c in enumerate(coeffs))
+        assert _read_slots(total, slot, len(coeffs)) == coeffs
+
+    def test_read_slots_rejects_overflow_of_the_top_slot(self):
+        slot = 7
+        # the top coefficient needs slot + 1 bits: its carry lands above
+        total = 3 + ((1 << slot) << (2 * slot))
+        with pytest.raises(ArithmeticError, match="overflows"):
+            _read_slots(total, slot, 3)
+        # the same value read with one more slot is fine
+        assert _read_slots(total, slot, 4) == [3, 0, 0, 1]
+
+    def test_inexact_scale_is_rejected(self):
+        assert _exact_quotient(math.factorial(6), 48) == 15
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            _exact_quotient(math.factorial(6), 7)
 
 
 class TestVerifyIdentity:

@@ -132,6 +132,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="entry 2 is negative"):
             is_unimodal((1, 2, -1))
 
+    def test_negative_rejected_by_summary(self):
+        with pytest.raises(ValueError, match="entry 2 is negative"):
+            shape_summary([1, 2, -1])
+
+    def test_summary_checks_each_entry_once(self):
+        # every sign check is an `entry < 0` comparison; shape_summary makes
+        # them once, not again inside each of the three predicates
+        checks = []
+
+        class Entry(int):
+            def __lt__(self, other):
+                if other == 0:
+                    checks.append(int(self))
+                return int.__lt__(self, other)
+
+        values = [Entry(c) for c in RT_COEFFS]
+        assert shape_summary(values).ultra_log_concave
+        assert checks == list(RT_COEFFS)
+
     def test_consistency_error_is_assertion(self):
         assert issubclass(InternalConsistencyError, AssertionError)
 

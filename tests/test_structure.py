@@ -35,10 +35,10 @@ def _called_names(func: ast.FunctionDef) -> set[str]:
     return names
 
 
-def test_series_oracle_shares_no_code_with_the_recursion():
-    # euler_series_poly is the oracle the divisor-sum recursion is checked
-    # against; any package function both reach (directly or through other
-    # package functions) would let one bug pass both routes
+def _package_reach():
+    """reach(name): every package function or class name that the top-level
+    function `name` calls, directly or through other package functions;
+    plus a predicate telling functions from classes."""
     defined: dict[str, ast.AST] = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -59,7 +59,31 @@ def test_series_oracle_shares_no_code_with_the_recursion():
                     todo.append(called)
         return seen
 
+    def is_function(name: str) -> bool:
+        return isinstance(defined[name], ast.FunctionDef)
+
+    return reach, is_function
+
+
+def test_series_oracle_shares_no_code_with_the_recursion():
+    # euler_series_poly is the oracle the divisor-sum recursion is checked
+    # against; any package function both reach (directly or through other
+    # package functions) would let one bug pass both routes
+    reach, _ = _package_reach()
     recursion = reach("_ensure_scaled")
     oracle = reach("euler_series_poly")
     assert "_ensure_sigma" in recursion  # the walk does see package calls
     assert recursion & oracle == set()
+
+
+def test_partition_routes_share_no_function_with_the_baseline():
+    # verify_identity compares every partition-sum route against q_poly;
+    # a package function reached by both could make a wrong route agree.
+    # Both build an ExactPoly at the end, so only functions count.
+    reach, is_function = _package_reach()
+    baseline = {name for name in reach("q_poly") if is_function(name)}
+    assert {"q_scaled_coeffs", "shift_by_one", "_ensure_scaled"} <= baseline
+    for route in ("_hook_sum", "binomial_sum"):
+        reached = reach(route)
+        assert "enumerate_partitions" in reached  # the walk sees the route's calls
+        assert {name for name in reached if is_function(name)} & baseline == set(), route
