@@ -236,12 +236,13 @@ def _packed_slot(denom: int, n: int) -> int:
     """Bit width of one coefficient slot for a packed partition sum over n.
 
     Each route below evaluates its integer polynomial sum_lambda
-    (denom / w_lambda) * prod (z + c) at z = 2^slot, c > 0, w_lambda the
-    product of the c.  All coefficients are >= 0, so each is at most the
-    value at z = 1: denom * sum_lambda prod (1 + c) / c <= denom * 2^n * p(n)
-    < denom * 4^n, since (1 + c) / c <= 2, there are at most n factors, and
-    p(n) <= 2^(n-1).  A slot of denom.bit_length() + 2n + 1 bits therefore
-    holds every coefficient with room to spare, and no carry crosses slots.
+    (denom / w_lambda) * prod (z + c) at z = 2^slot, over integers c >= 1
+    with w_lambda their product.  All coefficients are >= 0, so each is at
+    most the value at z = 1: denom * sum_lambda prod (1 + c) / c <=
+    denom * 2^n * p(n) < denom * 4^n, since (1 + c) / c <= 2, there are at
+    most n factors (so at most n + 1 coefficients), and p(n) <= 2^(n-1).
+    A slot of denom.bit_length() + 2n + 1 bits therefore holds every
+    coefficient with room to spare, and no carry crosses slots.
     """
     return denom.bit_length() + 2 * n + 1
 
