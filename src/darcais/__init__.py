@@ -13,18 +13,12 @@ Every computation is exact: arbitrary-precision integers and rationals
 throughout, no floating point on any certification path.
 """
 
-from .exactnum import (
-    ExactPoly,
-    poly_divmod,
-    poly_gcd,
-)
+from .exactnum import ExactPoly, poly_divmod
 from .partitions import (
-    Cell,
     HookMultiset,
     HookSelector,
     Partition,
     enumerate_partitions,
-    partition_count,
 )
 from .pf_tnn import (
     MinorSpec,
@@ -41,7 +35,6 @@ from .polynomials import (
     binomial_sum,
     darcais_poly,
     darcais_record,
-    euler_series_poly,
     hook_sum_full,
     hook_sum_trivial_arm,
     hook_sum_trivial_leg,
@@ -49,12 +42,10 @@ from .polynomials import (
     q_scaled_coeffs,
     scaled_coeffs,
     seed_records,
-    sigma,
     verify_identity,
 )
 from .reports import ARTIFACT_VERSION, CertReport
 from .rootcert import (
-    FactorizationError,
     RootAtEndpointError,
     RootInterval,
     RouthVerdict,
@@ -65,8 +56,6 @@ from .rootcert import (
     is_real_rooted,
     is_square_free,
     isolate_real_roots,
-    square_free_part,
-    verify_factorization,
 )
 from .shape import (
     InternalConsistencyError,
@@ -82,12 +71,10 @@ __version__ = ARTIFACT_VERSION
 
 __all__ = [
     "ARTIFACT_VERSION",
-    "Cell",
     "CertReport",
     "DArcaisRecord",
     "DEFAULT_ROUTE_BOUNDS",
     "ExactPoly",
-    "FactorizationError",
     "HookMultiset",
     "HookSelector",
     "InternalConsistencyError",
@@ -108,7 +95,6 @@ __all__ = [
     "darcais_poly",
     "darcais_record",
     "enumerate_partitions",
-    "euler_series_poly",
     "hook_sum_full",
     "hook_sum_trivial_arm",
     "hook_sum_trivial_leg",
@@ -119,19 +105,14 @@ __all__ = [
     "is_ultra_log_concave",
     "is_unimodal",
     "isolate_real_roots",
-    "partition_count",
     "pf_test",
     "poly_divmod",
-    "poly_gcd",
     "q_poly",
     "q_scaled_coeffs",
     "scaled_coeffs",
     "seed_records",
     "shape_report",
     "shape_summary",
-    "sigma",
-    "square_free_part",
     "toeplitz_minor",
-    "verify_factorization",
     "verify_identity",
 ]

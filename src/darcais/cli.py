@@ -49,10 +49,6 @@ class UsageError(Exception):
     """Bad arguments or unreadable input; maps to exit code 2."""
 
 
-def _fail(message: str) -> "UsageError":
-    return UsageError(message)
-
-
 # -- shared helpers ----------------------------------------------------------
 
 
@@ -71,7 +67,9 @@ def _resolve_cache_path(args: argparse.Namespace) -> str | None:
         return path  # the parser has checked its directory
     path = cache_mod.default_cache_path()
     if path and not Path(path).parent.is_dir():
-        raise _fail(f"{cache_mod.CACHE_ENV_VAR}={path}: directory does not exist")
+        raise UsageError(
+            f"{cache_mod.CACHE_ENV_VAR}={path}: directory does not exist"
+        )
     return path
 
 
@@ -97,11 +95,11 @@ def _parse_poly_argument(value: str) -> ExactPoly:
         try:
             source = Path(value).read_text(encoding="ascii")
         except (OSError, UnicodeDecodeError) as exc:
-            raise _fail(f"cannot read polynomial {origin}: {exc}")
+            raise UsageError(f"cannot read polynomial {origin}: {exc}")
     try:
         return ExactPoly.from_text(source)
     except ValueError as exc:
-        raise _fail(f"polynomial parse failure in {origin}, line 1: {exc}")
+        raise UsageError(f"polynomial parse failure in {origin}, line 1: {exc}")
 
 
 def _parse_rationals_csv(value: str, what: str) -> list[Fraction]:
@@ -110,7 +108,7 @@ def _parse_rationals_csv(value: str, what: str) -> list[Fraction]:
         try:
             out.append(Fraction(tok.strip()))
         except (ValueError, ZeroDivisionError):
-            raise _fail(f"invalid {what} entry {pos}: {tok!r}")
+            raise UsageError(f"invalid {what} entry {pos}: {tok!r}")
     return out
 
 
@@ -124,10 +122,10 @@ def _print_report(report: CertReport) -> None:
 def cmd_poly(args: argparse.Namespace) -> int:
     n = args.n
     if n < 0:
-        raise _fail("--n must be nonnegative")
+        raise UsageError("--n must be nonnegative")
     loaded = _maybe_load_cache(args)
     if args.normalized and n < 1:
-        raise _fail("normalized records are defined for n >= 1")
+        raise UsageError("normalized records are defined for n >= 1")
     if args.normalized:
         coeffs = (
             polynomials.q_scaled_coeffs(n) if args.shifted
@@ -151,27 +149,27 @@ def cmd_poly(args: argparse.Namespace) -> int:
 def _parse_injection(value: str) -> dict[str, tuple[int, Fraction]]:
     parts = value.split(":")
     if len(parts) not in (2, 3):
-        raise _fail("--inject-error expects ROUTE:INDEX[:DELTA]")
+        raise UsageError("--inject-error expects ROUTE:INDEX[:DELTA]")
     route, index = parts[0], parts[1]
     delta = parts[2] if len(parts) == 3 else "1"
     if route not in polynomials.ROUTE_NAMES:
-        raise _fail(f"unknown route {route!r} in --inject-error")
+        raise UsageError(f"unknown route {route!r} in --inject-error")
     try:
         return {route: (int(index), Fraction(delta))}
     except (ValueError, ZeroDivisionError):
-        raise _fail(f"bad --inject-error value {value!r}")
+        raise UsageError(f"bad --inject-error value {value!r}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 1:
-        raise _fail("--max-n must be at least 1")
+        raise UsageError("--max-n must be at least 1")
     _maybe_load_cache(args)
     routes = CONJECTURE_ROUTES[args.conjecture]
     bounds = dict(polynomials.DEFAULT_ROUTE_BOUNDS)
     over = [r for r in routes if args.max_n > bounds[r]]
     if over and not args.force:
         listed = ", ".join(f"{r} (bound {bounds[r]})" for r in over)
-        raise _fail(
+        raise UsageError(
             f"--max-n {args.max_n} exceeds the feasibility bound for: {listed}; "
             "pass --force to compute anyway"
         )
@@ -179,6 +177,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for r in routes:
             bounds[r] = max(bounds[r], args.max_n)
     tamper = _parse_injection(args.inject_error) if args.inject_error else None
+    if tamper and not tamper.keys() <= set(routes):
+        (route,) = tamper
+        raise UsageError(
+            f"--inject-error route {route!r} is not run by --conjecture "
+            f"{args.conjecture}, which runs: {', '.join(routes)}"
+        )
     for n in range(1, args.max_n + 1):
         report = polynomials.verify_identity(
             n, routes=routes, bounds=bounds, tamper=tamper
@@ -194,10 +198,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_roots(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.poly is None):
-        raise _fail("choose exactly one of --n or --poly")
+        raise UsageError("choose exactly one of --n or --poly")
     if args.n is not None:
         if args.n < 1:
-            raise _fail("--n must be at least 1")
+            raise UsageError("--n must be at least 1")
         _maybe_load_cache(args)
         record = polynomials.darcais_record(args.n)
         poly = ExactPoly(record.numer_coeffs)
@@ -205,7 +209,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     else:
         poly = _parse_poly_argument(args.poly)
         if poly.is_zero:
-            raise _fail("the zero polynomial has no root certificate")
+            raise UsageError("the zero polynomial has no root certificate")
         target = {"coeffs": poly.to_text()}
 
     details: dict = {"degree": poly.degree()}
@@ -257,7 +261,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
     if args.hurwitz:
         if poly.coefficient(0) == 0:
-            raise _fail(
+            raise UsageError(
                 "polynomial has a root at the origin; divide it out before --hurwitz"
             )
         start = time.perf_counter()
@@ -290,10 +294,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 def cmd_pf(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.coeffs is None):
-        raise _fail("choose exactly one of --n or --coeffs")
+        raise UsageError("choose exactly one of --n or --coeffs")
     if args.n is not None:
         if args.n < 1:
-            raise _fail("--n must be at least 1")
+            raise UsageError("--n must be at least 1")
         _maybe_load_cache(args)
         values: list[Fraction] = [
             Fraction(c) for c in polynomials.darcais_record(args.n).numer_coeffs
@@ -305,16 +309,16 @@ def cmd_pf(args: argparse.Namespace) -> int:
             try:
                 text = Path(text).read_text(encoding="ascii")
             except (OSError, UnicodeDecodeError) as exc:
-                raise _fail(f"cannot read --coeffs file {text}: {exc}")
+                raise UsageError(f"cannot read --coeffs file {text}: {exc}")
         tokens = text.replace(",", " ").split()
         if not tokens:
-            raise _fail("--coeffs is empty")
+            raise UsageError("--coeffs is empty")
         values = []
         for pos, tok in enumerate(tokens, start=1):
             try:
                 values.append(Fraction(tok))
             except (ValueError, ZeroDivisionError):
-                raise _fail(f"invalid --coeffs token {pos}: {tok!r}")
+                raise UsageError(f"invalid --coeffs token {pos}: {tok!r}")
         target = {"coeffs": " ".join(str(v) for v in values)}
 
     if args.strip_linear:
@@ -324,7 +328,7 @@ def cmd_pf(args: argparse.Namespace) -> int:
             factor = ExactPoly([-root, Fraction(1)])
             quotient, remainder = poly_divmod(poly, factor)
             if not remainder.is_zero:
-                raise _fail(
+                raise UsageError(
                     f"--strip-linear: {root} is not a root "
                     f"(remainder {remainder.to_text()})"
                 )
@@ -334,7 +338,7 @@ def cmd_pf(args: argparse.Namespace) -> int:
 
     for k, v in enumerate(values):
         if v < 0:
-            raise _fail(
+            raise UsageError(
                 f"coefficient {k} is negative ({v}); Polya frequency is defined "
                 "for nonnegative sequences"
             )
@@ -375,11 +379,11 @@ def cmd_pf(args: argparse.Namespace) -> int:
 def _parse_doctor(value: str):
     parts = value.split(":")
     if len(parts) != 3:
-        raise _fail("--doctor expects N:INDEX:VALUE")
+        raise UsageError("--doctor expects N:INDEX:VALUE")
     try:
         target_n, index, forced = int(parts[0]), int(parts[1]), int(parts[2])
     except ValueError:
-        raise _fail(f"bad --doctor value {value!r}")
+        raise UsageError(f"bad --doctor value {value!r}")
 
     def override(n: int):
         seq = list(polynomials.q_scaled_coeffs(n))
@@ -392,15 +396,15 @@ def _parse_doctor(value: str):
 
 def cmd_shape(args: argparse.Namespace) -> int:
     if args.max_n < 0:
-        raise _fail("--max-n must be nonnegative")
+        raise UsageError("--max-n must be nonnegative")
     limit = SHAPE_FULL_LIMIT if args.full_1000 else SHAPE_DESK_LIMIT
     if args.max_n > limit:
         if args.full_1000:
-            raise _fail(
+            raise UsageError(
                 f"--max-n {args.max_n} exceeds the supported range "
                 f"(<= {SHAPE_FULL_LIMIT})"
             )
-        raise _fail(
+        raise UsageError(
             f"--max-n {args.max_n} exceeds the desk-scale default "
             f"{SHAPE_DESK_LIMIT}; pass --full-1000 to go up to {SHAPE_FULL_LIMIT}"
         )

@@ -204,18 +204,6 @@ class ExactPoly:
     def derivative(self) -> ExactPoly:
         return ExactPoly(k * c for k, c in enumerate(self._coeffs) if k)
 
-    def shift(self, c: Scalar) -> ExactPoly:
-        """Return p(x + c): with b_k = a_k c^k and s = shift_by_one(b),
-        the coefficient of x^k in p(x + c) is s_k / c^k."""
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return self
-        powers = [Fraction(1)]
-        for _ in range(len(self._coeffs) - 1):
-            powers.append(powers[-1] * c)
-        shifted = shift_by_one(a * w for a, w in zip(self._coeffs, powers))
-        return ExactPoly(s / w for s, w in zip(shifted, powers))
-
     def monic(self) -> ExactPoly:
         if not self._coeffs:
             raise ValueError("the zero polynomial cannot be made monic")

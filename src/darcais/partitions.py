@@ -1,4 +1,4 @@
-"""Integer partitions, Young-diagram cells, and hook-length multisets.
+"""Integer partitions and their hook-length multisets.
 
 A partition is a weakly decreasing tuple of positive parts.  Cells are
 addressed in matrix convention: row i from the top (1-based), column j
@@ -29,36 +29,11 @@ class HookSelector(Enum):
 
 
 @dataclass(frozen=True)
-class Cell:
-    """A diagram cell with its arm, leg, and hook data (1-based row/col)."""
-
-    row: int
-    col: int
-    arm: int
-    leg: int
-
-    @property
-    def hook(self) -> int:
-        return self.arm + self.leg + 1
-
-
-@dataclass(frozen=True)
 class HookMultiset:
     """Multiset of hook lengths, stored as sorted (value, multiplicity) pairs."""
 
     selector: HookSelector
     counts: tuple[tuple[int, int], ...]
-
-    def elements(self) -> tuple[int, ...]:
-        """All hook values, repeated by multiplicity, in increasing order."""
-        out: list[int] = []
-        for value, mult in self.counts:
-            out.extend([value] * mult)
-        return tuple(out)
-
-    @property
-    def size(self) -> int:
-        return sum(mult for _, mult in self.counts)
 
 
 class Partition:
@@ -80,16 +55,6 @@ class Partition:
     def parts(self) -> tuple[int, ...]:
         return self._parts
 
-    @property
-    def weight(self) -> int:
-        """The number being partitioned (sum of parts)."""
-        return sum(self._parts)
-
-    @property
-    def length(self) -> int:
-        """Number of parts."""
-        return len(self._parts)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Partition):
             return self._parts == other._parts
@@ -100,35 +65,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({list(self._parts)})"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def to_text(self) -> str:
-        """Comma-separated parts, e.g. "7,3,2"; empty partition is ""."""
-        return ",".join(str(p) for p in self._parts)
-
-    @classmethod
-    def from_text(cls, text: str) -> Partition:
-        text = text.strip()
-        if not text:
-            return cls(())
-        try:
-            parts = [int(tok) for tok in text.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"invalid partition text: {text!r}") from exc
-        return cls(parts)
-
-    def conjugate(self) -> Partition:
-        """Transpose of the diagram (columns become rows)."""
-        return Partition(_conjugate_parts(self._parts))
-
-    def cells(self) -> Iterator[Cell]:
-        """All cells in reading order (row by row, left to right)."""
-        conj = _conjugate_parts(self._parts)
-        for i, part in enumerate(self._parts, start=1):
-            for j in range(1, part + 1):
-                yield Cell(row=i, col=j, arm=part - j, leg=conj[j - 1] - i)
 
     def hooks(self, selector: HookSelector = HookSelector.FULL) -> HookMultiset:
         """Hook-length multiset over the cells chosen by the selector.
@@ -171,11 +107,20 @@ def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(conj)
 
 
+def _trusted(parts: tuple[int, ...]) -> Partition:
+    """A Partition of parts known to be positive and weakly decreasing,
+    built without checking them again."""
+    partition = object.__new__(Partition)
+    partition._parts = parts
+    return partition
+
+
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in decreasing lexicographic order.
 
     Starts at (n) and ends at (1, 1, ..., 1); yields the empty partition
-    exactly once for n = 0.
+    exactly once for n = 0.  Every step keeps the parts positive and
+    weakly decreasing, so they are not validated again.
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
@@ -184,7 +129,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         return
     a = [n]
     while True:
-        yield Partition(a)
+        yield _trusted(tuple(a))
         j = len(a) - 1
         while j >= 0 and a[j] == 1:
             j -= 1
@@ -198,27 +143,3 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             take = min(value, spare)
             a.append(take)
             spare -= take
-
-
-def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence (independent of
-    enumeration, handy as a cross-check)."""
-    if n < 0:
-        raise ValueError("cannot partition a negative integer")
-    table = [1] + [0] * n
-    for m in range(1, n + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > m and g2 > m:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            if g1 <= m:
-                total += sign * table[m - g1]
-            if g2 <= m:
-                total += sign * table[m - g2]
-            k += 1
-        table[m] = total
-    return table[n]

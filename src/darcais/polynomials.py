@@ -15,13 +15,12 @@ Nekrasov-Okounkov hook-length average over partitions of n.
 This module computes P_n / Q_n by several genuinely different routes:
 
   * the divisor-sum recursion (fast, the baseline);
-  * a series oracle that exponentiates the logarithm of the Euler
-    product term by term, never touching the recursion;
   * partition sums over full hooks, trivial-leg hooks, trivial-arm
     hooks, and part multiplicities (binomial products).
 
-verify_identity cross-checks any selection of routes coefficient by
-coefficient, exactly.
+verify_identity cross-checks any selection of routes against the
+recursion coefficient by coefficient, exactly.  The series oracle the
+recursion itself is checked against lives with the tests.
 """
 
 from __future__ import annotations
@@ -39,32 +38,15 @@ from .reports import CertReport
 # Feasibility defaults for the partition-sum routes.  The partition counts
 # explode; these keep a full verification run at desk scale.
 DEFAULT_ROUTE_BOUNDS: dict[str, int] = {
-    "series": 64,
     "full_hooks": 18,
     "trivial_legs": 25,
     "trivial_arms": 25,
     "binomials": 40,
 }
 
-ROUTE_NAMES: tuple[str, ...] = (
-    "series",
-    "full_hooks",
-    "trivial_legs",
-    "trivial_arms",
-    "binomials",
-)
-
 _SIGMA: list[int] = [0]  # _SIGMA[k] = sigma(k); index 0 unused
 # _SCALED[n] = coefficients of n! * P_n(x), constant term first (all ints).
 _SCALED: list[tuple[int, ...]] = [(1,)]
-
-
-def sigma(n: int) -> int:
-    """Sum of the positive divisors of n (n >= 1)."""
-    if n < 1:
-        raise ValueError("sigma(n) requires n >= 1")
-    _ensure_sigma(n)
-    return _SIGMA[n]
 
 
 def _ensure_sigma(n: int) -> None:
@@ -136,13 +118,6 @@ class DArcaisRecord:
         if any(c <= 0 for c in self.numer_coeffs):
             raise ValueError("normalized coefficients must be positive")
 
-    def poly(self) -> ExactPoly:
-        """Reconstruct P_n as an exact rational polynomial."""
-        fact = math.factorial(self.n)
-        return ExactPoly(
-            [Fraction(0)] + [Fraction(c, fact) for c in self.numer_coeffs]
-        )
-
 
 def darcais_record(n: int) -> DArcaisRecord:
     """Integer-normalized P_n data for n >= 1."""
@@ -189,44 +164,6 @@ def seed_records(records: Mapping[int, tuple[int, ...]]) -> None:
             raise ValueError(f"records skip n={len(_SCALED)}")
         DArcaisRecord(n, tuple(records[n]))  # validates shape
         _SCALED.append(coeffs)
-
-
-# -- independent series oracle ----------------------------------------------
-
-
-def euler_series_poly(n: int) -> ExactPoly:
-    """P_n(z) extracted from the Euler product without the recursion.
-
-    Expands L(q) = -log prod (1 - q^m) = sum_N (sum_{j | N} 1/j) q^N by a
-    direct double loop, then reads off the coefficient of q^n in
-    exp(z * L) = sum_i z^i L^i / i! using explicit truncated powers of L.
-    Cost is O(n^3) rational operations; this is the oracle the recursion
-    is checked against, so it must not share code with it.
-    """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n == 0:
-        return ExactPoly([1])
-    log_series = [Fraction(0)] * (n + 1)
-    for m in range(1, n + 1):
-        for j in range(1, n // m + 1):
-            log_series[m * j] += Fraction(1, j)
-    out = [Fraction(0)] * (n + 1)
-    power = [Fraction(1)] + [Fraction(0)] * n  # running L^i, truncated
-    for i in range(1, n + 1):
-        nxt = [Fraction(0)] * (n + 1)
-        # L has no constant term, so L^i starts at q^i
-        for a in range(i - 1, n):
-            pa = power[a]
-            if not pa:
-                continue
-            for b in range(1, n - a + 1):
-                lb = log_series[b]
-                if lb:
-                    nxt[a + b] += pa * lb
-        power = nxt
-        out[i] = power[n] / math.factorial(i)
-    return ExactPoly(out)
 
 
 # -- partition-sum routes for Q_n --------------------------------------------
@@ -349,12 +286,13 @@ def binomial_sum(n: int) -> ExactPoly:
 # -- cross-route verification -------------------------------------------------
 
 _ROUTE_FUNCS: dict[str, Callable[[int], ExactPoly]] = {
-    "series": lambda n: euler_series_poly(n).shift(1),
     "full_hooks": hook_sum_full,
     "trivial_legs": hook_sum_trivial_leg,
     "trivial_arms": hook_sum_trivial_arm,
     "binomials": binomial_sum,
 }
+
+ROUTE_NAMES: tuple[str, ...] = tuple(_ROUTE_FUNCS)
 
 
 def verify_identity(

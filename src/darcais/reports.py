@@ -43,23 +43,18 @@ class CertReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_dict(self, include_timings: bool = True) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "schema": self.schema,
-            "version": self.version,
-            "kind": self.kind,
-            "target": self.target,
-            "verdict": self.verdict,
-            "details": self.details,
-            "witnesses": self.witnesses,
-        }
-        if include_timings:
-            out["timings"] = self.timings
-        return out
-
-    def to_json(self, include_timings: bool = True) -> str:
+    def to_json(self) -> str:
         return json.dumps(
-            self.to_dict(include_timings=include_timings),
+            {
+                "schema": self.schema,
+                "version": self.version,
+                "kind": self.kind,
+                "target": self.target,
+                "verdict": self.verdict,
+                "details": self.details,
+                "witnesses": self.witnesses,
+                "timings": self.timings,
+            },
             sort_keys=True,
             separators=(",", ":"),
         )

@@ -36,10 +36,6 @@ class RootAtEndpointError(ValueError):
     """
 
 
-class FactorizationError(ValueError):
-    """A claimed polynomial factor does not divide exactly."""
-
-
 @dataclass(frozen=True)
 class RootInterval:
     """Half-open interval (lower, upper] containing `count` distinct real
@@ -48,9 +44,6 @@ class RootInterval:
     lower: Fraction
     upper: Fraction
     count: int
-
-    def width(self) -> Fraction:
-        return self.upper - self.lower
 
 
 @dataclass(frozen=True)
@@ -287,8 +280,9 @@ def is_square_free(p: ExactPoly, chain: SturmChain | None = None) -> bool:
     constant for a prime q that divides neither leading coefficient, then
     the rational gcd is constant too (the implication only runs this
     direction, so the shortcut is sound).  When the modular answer is
-    inconclusive, decides by the degree of the given chain's last member
-    or, without a chain, by the exact pseudo-remainder gcd.
+    inconclusive, decides by the degree of the chain's last member, which
+    is deg gcd(p, p').  A chain passed in must be SturmChain.build(p);
+    without one it is built here.
     """
     if p.is_zero:
         raise ValueError("square-freeness is undefined for the zero polynomial")
@@ -302,9 +296,9 @@ def is_square_free(p: ExactPoly, chain: SturmChain | None = None) -> bool:
         if _gf_gcd_degree(f, prime) == 0:
             return True
         break
-    if chain is not None:
-        return chain.tail_degree == 0
-    return poly_gcd(p, p.derivative()).degree() == 0
+    if chain is None:
+        chain = SturmChain.build(p)
+    return chain.tail_degree == 0
 
 
 def square_free_part(p: ExactPoly) -> ExactPoly:
@@ -396,23 +390,3 @@ def hurwitz_stable(p: ExactPoly) -> RouthVerdict:
             nxt.append(cur[0] * a - prev[0] * b)
         rows.append(primitive_part(nxt))
     return RouthVerdict(stable=True, marginal=False, stage=None)
-
-
-def verify_factorization(
-    p: ExactPoly, factors: Sequence[ExactPoly]
-) -> ExactPoly:
-    """Divide p by each factor in turn, insisting on zero remainders.
-
-    Returns the final quotient (the cofactor left after all divisions).
-    Raises FactorizationError naming the first factor that fails.
-    """
-    current = p
-    for index, factor in enumerate(factors):
-        quotient, remainder = poly_divmod(current, factor)
-        if not remainder.is_zero:
-            raise FactorizationError(
-                f"factor {index} ({factor.to_text()}) leaves remainder "
-                f"{remainder.to_text()}"
-            )
-        current = quotient
-    return current

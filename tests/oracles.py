@@ -2,18 +2,21 @@
 
 Each is an independent route to a quantity the package computes another
 way: generalized binomials, the finite-product specialization P_n(-m),
-part multiplicities, standard Young tableau counts from the hook length
-formula, and Toeplitz matrix entries.  It also keeps the plain, direct
-forms of five fast package kernels (the divisor-sum recursion, the
-Taylor shift, the ultra-log-concavity test, and the hook and binomial
-partition sums with their coefficient lists expanded), so each kernel
-can be checked against its textbook statement.
+the power-series expansion of the Euler product, part multiplicities,
+p(n) by the pentagonal recurrence, diagram cells one at a time,
+standard Young tableau counts from the hook length formula, and
+Toeplitz matrix entries.  It also keeps the plain, direct forms of five
+fast package kernels (the divisor-sum recursion, the Taylor shift, the
+ultra-log-concavity test, and the hook and binomial partition sums with
+their coefficient lists expanded), so each kernel can be checked
+against its textbook statement, plus exact division by claimed factors.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from darcais.exactnum import ExactPoly, convolve
+from darcais.exactnum import ExactPoly, convolve, poly_divmod
 from darcais.partitions import HookMultiset, HookSelector, Partition, enumerate_partitions
 from darcais.pf_tnn import ToeplitzSeq
 
@@ -71,7 +74,7 @@ def multiplicity_vector(partition: Partition) -> tuple[int, ...]:
     This is the bijective encoding of the partition by part
     multiplicities; sum(j * k_j) recovers the weight.
     """
-    vec = [0] * partition.weight
+    vec = [0] * sum(partition.parts)
     for p in partition.parts:
         vec[p - 1] += 1
     return tuple(vec)
@@ -92,7 +95,7 @@ def count_syt(partition: Partition) -> int:
     would indicate corrupted hook data (it never happens for genuine
     partitions).
     """
-    n = partition.weight
+    n = sum(partition.parts)
     denom = hook_product(partition.hooks(HookSelector.FULL))
     count, rem = divmod(math.factorial(n), denom)
     if rem:
@@ -202,3 +205,136 @@ def binomial_sum_convolve(n: int) -> ExactPoly:
         for i, c in enumerate(numer):
             acc[i] += c * scale
     return ExactPoly(Fraction(c, denom) for c in acc)
+
+
+def euler_series_poly(n: int) -> ExactPoly:
+    """P_n(z) extracted from the Euler product without the recursion.
+
+    Expands L(q) = -log prod (1 - q^m) = sum_N (sum_{j | N} 1/j) q^N by a
+    direct double loop, then reads off the coefficient of q^n in
+    exp(z * L) = sum_i z^i L^i / i! using explicit truncated powers of L.
+    Cost is O(n^3) rational operations; this is the oracle the recursion
+    is checked against, so it uses no package code but the ExactPoly
+    container (tests/test_structure.py checks that).
+    """
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    if n == 0:
+        return ExactPoly([1])
+    log_series = [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        for j in range(1, n // m + 1):
+            log_series[m * j] += Fraction(1, j)
+    out = [Fraction(0)] * (n + 1)
+    power = [Fraction(1)] + [Fraction(0)] * n  # running L^i, truncated
+    for i in range(1, n + 1):
+        nxt = [Fraction(0)] * (n + 1)
+        # L has no constant term, so L^i starts at q^i
+        for a in range(i - 1, n):
+            pa = power[a]
+            if not pa:
+                continue
+            for b in range(1, n - a + 1):
+                lb = log_series[b]
+                if lb:
+                    nxt[a + b] += pa * lb
+        power = nxt
+        out[i] = power[n] / math.factorial(i)
+    return ExactPoly(out)
+
+
+def shift(p: ExactPoly, c) -> ExactPoly:
+    """p(x + c): with b_k = a_k c^k and s the shift by one of b, the
+    coefficient of x^k in p(x + c) is s_k / c^k."""
+    c = Fraction(c)
+    if not c:
+        return p
+    powers = [c**k for k in range(len(p.coeffs))]
+    shifted = shift_by_one_loop(a * w for a, w in zip(p.coeffs, powers))
+    return ExactPoly(s / w for s, w in zip(shifted, powers))
+
+
+def record_poly(record) -> ExactPoly:
+    """P_n rebuilt from its integer-normalized record: (x / n!) * sum a_k x^k."""
+    fact = math.factorial(record.n)
+    return ExactPoly([Fraction(0)] + [Fraction(c, fact) for c in record.numer_coeffs])
+
+
+class FactorizationError(ValueError):
+    """A claimed polynomial factor does not divide exactly."""
+
+
+def verify_factorization(p: ExactPoly, factors) -> ExactPoly:
+    """Divide p by each factor in turn, insisting on zero remainders.
+
+    Returns the final quotient (the cofactor left after all divisions).
+    Raises FactorizationError naming the first factor that fails.
+    """
+    current = p
+    for index, factor in enumerate(factors):
+        quotient, remainder = poly_divmod(current, factor)
+        if not remainder.is_zero:
+            raise FactorizationError(
+                f"factor {index} ({factor.to_text()}) leaves remainder "
+                f"{remainder.to_text()}"
+            )
+        current = quotient
+    return current
+
+
+def partition_count(n: int) -> int:
+    """p(n) by Euler's pentagonal-number recurrence (independent of
+    enumeration, handy as a cross-check)."""
+    if n < 0:
+        raise ValueError("cannot partition a negative integer")
+    table = [1] + [0] * n
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            g2 = k * (3 * k + 1) // 2
+            if g1 > m and g2 > m:
+                break
+            sign = -1 if k % 2 == 0 else 1
+            if g1 <= m:
+                total += sign * table[m - g1]
+            if g2 <= m:
+                total += sign * table[m - g2]
+            k += 1
+        table[m] = total
+    return table[n]
+
+
+def conjugate(partition: Partition) -> Partition:
+    """Transpose of the diagram: column j has as many cells as parts >= j."""
+    parts = partition.parts
+    width = parts[0] if parts else 0
+    return Partition([sum(1 for p in parts if p >= j) for j in range(1, width + 1)])
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A diagram cell with its arm, leg, and hook data (1-based row/col)."""
+
+    row: int
+    col: int
+    arm: int
+    leg: int
+
+    @property
+    def hook(self) -> int:
+        return self.arm + self.leg + 1
+
+
+def cells(partition: Partition):
+    """All cells in reading order (row by row, left to right)."""
+    conj = conjugate(partition).parts
+    for i, part in enumerate(partition.parts, start=1):
+        for j in range(1, part + 1):
+            yield Cell(row=i, col=j, arm=part - j, leg=conj[j - 1] - i)
+
+
+def elements(hooks: HookMultiset) -> tuple[int, ...]:
+    """All hook values, repeated by multiplicity, in increasing order."""
+    return tuple(value for value, mult in hooks.counts for _ in range(mult))

@@ -121,6 +121,19 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "astrology" in err
 
+    @pytest.mark.parametrize("route", ["full_hooks", "binomials", "series"])
+    def test_injection_into_a_route_the_conjecture_does_not_run(self, capsys, route):
+        code, out, err = run(
+            capsys,
+            "verify", "--conjecture", "1", "--max-n", "3",
+            "--inject-error", f"{route}:0",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert route in err
+        if route != "series":  # no longer a route at all
+            assert "trivial_legs" in err
+
     def test_max_n_must_be_positive(self, capsys):
         code, _, _ = run(capsys, "verify", "--conjecture", "1", "--max-n", "0")
         assert code == EXIT_USAGE

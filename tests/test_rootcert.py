@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darcais import rootcert
 from darcais.exactnum import ExactPoly, poly_gcd
 from darcais.polynomials import darcais_record, scaled_coeffs
 from darcais.rootcert import (
-    FactorizationError,
     RootAtEndpointError,
     RouthVerdict,
     SturmChain,
@@ -20,8 +20,8 @@ from darcais.rootcert import (
     is_square_free,
     isolate_real_roots,
     square_free_part,
-    verify_factorization,
 )
+from oracles import FactorizationError, verify_factorization
 
 # degree-8 cofactor of the n = 10 normalized numerator after dividing
 # out (x + 1); it has six distinct real roots and one complex pair
@@ -169,14 +169,14 @@ class TestIsolation:
         for iv, root in zip(intervals, roots):
             assert iv.lower < root <= iv.upper
             assert iv.count == 1
-            assert iv.width() <= 1
+            assert iv.upper - iv.lower <= 1
 
     def test_refinement_width(self):
         p = linear_product([-2, 5]) * ExactPoly([1, 0, 1])
         width = Fraction(1, 1024)
         intervals = isolate_real_roots(p, max_width=width)
         assert len(intervals) == 2
-        assert all(iv.width() <= width for iv in intervals)
+        assert all(iv.upper - iv.lower <= width for iv in intervals)
 
     def test_intervals_are_disjoint_and_sorted(self):
         p = linear_product([-8, -1, 0, 3, 9])
@@ -228,6 +228,19 @@ class TestSquareFree:
             is_square_free(ExactPoly([]))
         with pytest.raises(ValueError):
             square_free_part(ExactPoly([]))
+
+    def test_without_a_chain_the_sturm_chain_decides(self, monkeypatch):
+        # (x - 1)^2 (x + 2) has a repeated root, so the modular certificate
+        # is inconclusive and the chain's last member decides, not a gcd
+        monkeypatch.setattr(rootcert, "poly_gcd", None)
+        builds = []
+        build = SturmChain.build
+        monkeypatch.setattr(
+            SturmChain, "build", lambda p: builds.append(p) or build(p)
+        )
+        p = ExactPoly([1, -2, 1]) * ExactPoly([2, 1])
+        assert not is_square_free(p)
+        assert builds == [p]
 
     def test_normalized_numerators_square_free(self):
         for n in range(1, 31):

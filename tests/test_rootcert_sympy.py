@@ -55,7 +55,7 @@ def test_counts_and_isolation_agree_with_sympy(seed):
     intervals = isolate_real_roots(p, max_width=width)
     assert len(intervals) == len(distinct)
     for iv, root in zip(intervals, distinct):
-        assert iv.count == 1 and iv.width() <= width
+        assert iv.count == 1 and iv.upper - iv.lower <= width
         assert p(iv.lower) != 0 and p(iv.upper) != 0
         assert sp.count_roots(iv.lower, iv.upper) == 1
         assert sympy.Rational(iv.lower.numerator, iv.lower.denominator) < root

@@ -1,9 +1,31 @@
 """Structural rules of the package source."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
+import darcais
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "darcais"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+# Where the program starts: `python -m darcais.cli` runs main, the
+# `darcais` console script (pyproject.toml) runs entry, which calls main.
+ROOTS = ("cli.main", "cli.entry")
+
+# Definitions kept although the CLI does not reach them, one reason each.
+# They are walk roots too, so what they call counts as reached.
+TRACER = "perfbench tracer wraps it by name (ROADMAP item 6)"
+ALLOWED = {
+    "rootcert.square_free_part": TRACER,
+    "exactnum.poly_gcd": TRACER,
+    "exactnum.poly_divmod": TRACER,
+    "rootcert.SturmChain.members": TRACER,
+    "rootcert.SturmChain.variations_at": TRACER,
+    "exactnum.ExactPoly.__call__": TRACER,
+    "reports.CertReport.to_json": TRACER,
+    "partitions.Partition.hooks": TRACER,
+}
 
 
 def test_no_private_names_imported_across_modules():
@@ -23,67 +45,155 @@ def test_no_private_names_imported_across_modules():
     assert offenders == []
 
 
-def _called_names(func: ast.FunctionDef) -> set[str]:
-    names = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            target = node.func
-            if isinstance(target, ast.Name):
-                names.add(target.id)
-            elif isinstance(target, ast.Attribute):
-                names.add(target.attr)
-    return names
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
-def _package_reach():
-    """reach(name): every package function or class name that the top-level
-    function `name` calls, directly or through other package functions;
-    plus a predicate telling functions from classes."""
-    defined: dict[str, ast.AST] = {}
+def _references(nodes) -> tuple[set[str], set[str]]:
+    """Names and attribute names the nodes read, calls or not: a function
+    handed on (`set_defaults(func=cmd_poly)`) is live as much as one called."""
+    names, attrs = set(), set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                attrs.add(sub.attr)
+    return names, attrs
+
+
+def _package_reach(into_classes: bool = True):
+    """reach(*keys): the given package definitions and every one they
+    reference, directly or through others; plus a predicate telling
+    functions and methods from classes and tables; plus all keys.
+
+    Keys are "module.name" for module-level functions, classes and assigned
+    names (tables such as _ROUTE_FUNCS), "module.Class.method" for methods.
+    A name resolves to every module-level definition so named in any
+    module; an attribute `obj.x` also to every method called x.  That
+    over-approximates: it can miss dead code, never flag live code.
+
+    A reached class makes its class-level statements and its dunder methods
+    live, since Python calls those implicitly; other methods are reached
+    by attribute.  With into_classes=False a class counts as one name and
+    nothing inside it is followed.
+    """
+    body: dict[str, list[ast.AST]] = {}
+    functions: set[str] = set()
+    by_name: dict[str, set[str]] = defaultdict(set)
+    methods: dict[str, set[str]] = defaultdict(set)
     for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.setdefault(node.name, node)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and stmt.value is not None:
+                        key = f"{path.stem}.{target.id}"
+                        body[key] = [stmt.value]
+                        by_name[target.id].add(key)
+                continue
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            key = f"{path.stem}.{stmt.name}"
+            by_name[stmt.name].add(key)
+            if isinstance(stmt, ast.FunctionDef):
+                body[key] = [stmt]
+                functions.add(key)
+                continue
+            live_with_class = stmt.decorator_list + stmt.bases
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef):
+                    method = f"{key}.{item.name}"
+                    body[method] = [item]
+                    functions.add(method)
+                    if not _is_dunder(item.name):
+                        methods[item.name].add(method)
+                        continue
+                live_with_class.append(item)
+            body[key] = live_with_class if into_classes else []
 
-    def reach(name: str) -> set[str]:
-        seen: set[str] = set()
-        todo = [name]
+    def reach(*keys: str) -> set[str]:
+        seen: set[str] = set(keys)
+        todo = list(keys)
         while todo:
-            node = defined[todo.pop()]
-            if not isinstance(node, ast.FunctionDef):
-                continue  # classes count as one name, not followed
-            for called in _called_names(node) & defined.keys():
-                if called not in seen:
-                    seen.add(called)
-                    todo.append(called)
+            names, attrs = _references(body[todo.pop()])
+            found = set()
+            for name in names | attrs:
+                found |= by_name.get(name, set())
+            for attr in attrs:
+                found |= methods.get(attr, set())
+            for key in found - seen:
+                seen.add(key)
+                todo.append(key)
         return seen
 
-    def is_function(name: str) -> bool:
-        return isinstance(defined[name], ast.FunctionDef)
-
-    return reach, is_function
+    return reach, functions.__contains__, set(body)
 
 
-def test_series_oracle_shares_no_code_with_the_recursion():
-    # euler_series_poly is the oracle the divisor-sum recursion is checked
-    # against; any package function both reach (directly or through other
-    # package functions) would let one bug pass both routes
-    reach, _ = _package_reach()
-    recursion = reach("_ensure_scaled")
-    oracle = reach("euler_series_poly")
-    assert "_ensure_sigma" in recursion  # the walk does see package calls
-    assert recursion & oracle == set()
+def test_everything_in_the_package_is_reached_from_the_cli():
+    # the CLI is the product: a definition it never reaches is either an
+    # oracle (tests/oracles.py) or dead code.  Every function, class,
+    # method and module-level name is checked, public or not; dunder
+    # methods are outside the walk, Python calls them implicitly.
+    reach, _, keys = _package_reach()
+    reached = reach(*ROOTS, *ALLOWED)
+    checked = {key for key in keys if not _is_dunder(key.rsplit(".", 1)[1])}
+    assert sorted(checked - reached) == []
+    # and the package exports nothing the walk does not see
+    defined = {key.split(".")[1] for key in checked}
+    assert sorted(set(darcais.__all__) - defined) == []
+
+
+def test_allowed_entries_exist_and_stay_few():
+    _, _, keys = _package_reach()
+    assert set(ALLOWED) <= keys
+    assert all(reason.strip() for reason in ALLOWED.values())
+    assert len(ALLOWED) <= 10
+
+
+def test_series_oracle_references_no_package_code_but_exact_poly():
+    # euler_series_poly (tests/oracles.py) is the oracle the divisor-sum
+    # recursion is checked against; sharing any package code but the
+    # ExactPoly container would let one bug pass both
+    reach, _, _ = _package_reach()
+    assert "polynomials._ensure_sigma" in reach("polynomials._ensure_scaled")
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"), filename=str(ORACLES))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("darcais")
+        for alias in node.names
+    }
+    assert "ExactPoly" in imported
+    defined = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    seen, todo, used = set(), ["euler_series_poly"], set()
+    while todo:
+        names, attrs = _references([defined[todo.pop()]])
+        used |= names | attrs
+        for name in names & defined.keys() - seen:
+            seen.add(name)
+            todo.append(name)
+    assert "darcais" not in used
+    assert used & imported == {"ExactPoly"}
 
 
 def test_partition_routes_share_no_function_with_the_baseline():
     # verify_identity compares every partition-sum route against q_poly;
     # a package function reached by both could make a wrong route agree.
     # Both build an ExactPoly at the end, so only functions count.
-    reach, is_function = _package_reach()
-    baseline = {name for name in reach("q_poly") if is_function(name)}
-    assert {"q_scaled_coeffs", "shift_by_one", "_ensure_scaled"} <= baseline
-    for route in ("_hook_sum", "binomial_sum"):
+    reach, is_function, _ = _package_reach(into_classes=False)
+    baseline = {key for key in reach("polynomials.q_poly") if is_function(key)}
+    assert {
+        "polynomials.q_scaled_coeffs",
+        "exactnum.shift_by_one",
+        "polynomials._ensure_scaled",
+    } <= baseline
+    for route in ("polynomials._hook_sum", "polynomials.binomial_sum"):
         reached = reach(route)
-        assert "enumerate_partitions" in reached  # the walk sees the route's calls
-        assert {name for name in reached if is_function(name)} & baseline == set(), route
+        assert "partitions.enumerate_partitions" in reached  # the walk sees the route's calls
+        assert {key for key in reached if is_function(key)} & baseline == set(), route
