@@ -6,7 +6,7 @@ identities satisfied by their shifts Q_n(x) = P_n(x + 1) over several
 independent computation routes, and certifies analytic properties of the
 coefficient sequences: Polya frequency (via Toeplitz minors and the
 Aissen-Schoenberg-Whitney equivalence), real-rootedness and root
-location (Sturm chains), Hurwitz stability (fraction-free Routh table),
+location (Descartes bisection), Hurwitz stability (fraction-free Routh table),
 and coefficient shape (unimodality, log-concavity, ultra-log-concavity).
 
 Every computation is exact: arbitrary-precision integers and rationals
@@ -49,7 +49,6 @@ from .rootcert import (
     RootAtEndpointError,
     RootInterval,
     RouthVerdict,
-    SturmChain,
     all_real_roots_negative,
     count_real_roots,
     hurwitz_stable,
@@ -86,7 +85,6 @@ __all__ = [
     "RootInterval",
     "RouthVerdict",
     "ShapeVerdict",
-    "SturmChain",
     "ToeplitzSeq",
     "all_real_roots_negative",
     "binomial_sum",

@@ -4,7 +4,7 @@ Five subcommands, one certification task each:
 
     poly     print one polynomial (rational or integer-normalized form)
     verify   cross-check the hook-length identities over a range of n
-    roots    square-freeness, Sturm root counts, isolation, Hurwitz test
+    roots    square-freeness, real-root counts, isolation, Hurwitz test
     pf       Polya frequency verdict with an explicit minor witness
     shape    unimodality / log-concavity / ultra-log-concavity table
 
@@ -217,33 +217,25 @@ def cmd_roots(args: argparse.Namespace) -> int:
     verdict = "pass"
     timings: dict[str, float] = {}
 
-    # One chain answers every query: its last member is gcd(p, p') up to
-    # a constant, so t = deg of that member gives square-freeness and the
-    # number of distinct roots, deg p - t.
+    # deg p - t distinct roots, t = deg gcd(p, p'), which is 0 when p is
+    # square free; the root counts run on the square-free part
     start = time.perf_counter()
-    chain = rootcert.SturmChain.build(poly)
-    timings["sturm_chain"] = time.perf_counter() - start
+    square_free = rootcert.is_square_free(poly)
+    distinct = poly.degree() if square_free else rootcert.square_free_part(poly).degree()
+    details["square_free"] = square_free
+    timings["square_free"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    tail = chain.tail_degree
-    square_free = tail == 0
-    if rootcert.is_square_free(poly, chain=chain) != square_free:
-        raise shape.InternalConsistencyError(
-            "modular square-freeness certificate contradicts the Sturm chain"
-        )
-    details["square_free"] = square_free
-    real_count = rootcert.count_real_roots(poly, chain=chain)
+    real_count = rootcert.count_real_roots(poly)
     details["real_root_count"] = real_count
-    details["nonreal_pair_count"] = (poly.degree() - tail - real_count) // 2
-    details["all_real_roots_negative"] = rootcert.all_real_roots_negative(
-        poly, chain=chain
-    )
+    details["nonreal_pair_count"] = (distinct - real_count) // 2
+    details["all_real_roots_negative"] = rootcert.all_real_roots_negative(poly)
     timings["count"] = time.perf_counter() - start
 
     if args.sturm or args.isolate:
         width = Fraction(args.max_width)
         start = time.perf_counter()
-        intervals = rootcert.isolate_real_roots(poly, max_width=width, chain=chain)
+        intervals = rootcert.isolate_real_roots(poly, max_width=width)
         timings["isolate"] = time.perf_counter() - start
         details["intervals"] = [
             {"lower": str(iv.lower), "upper": str(iv.upper), "count": iv.count}

@@ -139,11 +139,6 @@ class ExactPoly:
             raise ValueError("coefficient index must be nonnegative")
         return self._coeffs[k] if k < len(self._coeffs) else Fraction(0)
 
-    def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 

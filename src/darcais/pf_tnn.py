@@ -7,7 +7,7 @@ theorem this happens exactly when the attached polynomial
 a_0 + a_1 x + ... + a_d x^d has only real roots.
 
 pf_test decides PF through that equivalence (delegating real-rootedness
-to the Sturm machinery in rootcert) and, for a failing sequence, also
+to the Descartes root counts in rootcert) and, for a failing sequence, also
 hunts down an explicit negative contiguous minor - a matrix-side
 certificate independent of the root count.  Minors are evaluated
 exactly by Bareiss fraction-free elimination, rational sequences after
@@ -113,11 +113,11 @@ class MinorWitness:
 class PFVerdict:
     """is_pf           the ASW verdict (attached polynomial real-rooted)
     witness          a negative minor when one was found (not PF only)
-    cross_check      the Sturm real-rootedness answer used for is_pf
+    cross_check      the real-rootedness answer used for is_pf
     search_exhausted True when not PF but no negative contiguous minor
                      turned up within the search bounds
-    timings          seconds per stage (sturm_chain, real_rootedness,
-                     minor_search); not part of equality"""
+    timings          seconds per stage (real_rootedness, minor_search);
+                     not part of equality"""
 
     is_pf: bool
     witness: MinorWitness | None
@@ -169,7 +169,7 @@ def pf_test(seq: ToeplitzSeq, max_order: int = 32, max_shift: int = 8) -> PFVerd
     """Decide Polya frequency and certify a failure with a negative minor.
 
     The verdict itself comes from the ASW equivalence: PF iff the
-    attached polynomial is real-rooted, settled exactly by Sturm counts.
+    attached polynomial is real-rooted, settled exactly by root counts.
     When the answer is "not PF", contiguous windows are searched in
     increasing order, then increasing row shift below the diagonal (only
     the difference row_start - col_start matters for a Toeplitz matrix,
@@ -186,10 +186,7 @@ def pf_test(seq: ToeplitzSeq, max_order: int = 32, max_shift: int = 8) -> PFVerd
     real_rooted = True
     if not poly.is_zero:
         start = time.perf_counter()
-        chain = rootcert.SturmChain.build(poly)
-        timings["sturm_chain"] = time.perf_counter() - start
-        start = time.perf_counter()
-        real_rooted = rootcert.is_real_rooted(poly, chain=chain)
+        real_rooted = rootcert.is_real_rooted(poly)
         timings["real_rootedness"] = time.perf_counter() - start
     if real_rooted:
         return PFVerdict(

@@ -297,7 +297,7 @@ ROUTE_NAMES: tuple[str, ...] = tuple(_ROUTE_FUNCS)
 
 def verify_identity(
     n: int,
-    routes: Iterable[str] | None = None,
+    routes: Iterable[str],
     bounds: Mapping[str, int] | None = None,
     tamper: Mapping[str, tuple[int, Fraction]] | None = None,
 ) -> CertReport:
@@ -315,7 +315,7 @@ def verify_identity(
     """
     if n < 1:
         raise ValueError("identity verification is defined for n >= 1")
-    requested = list(routes) if routes is not None else list(ROUTE_NAMES)
+    requested = list(routes)
     for name in requested:
         if name not in _ROUTE_FUNCS:
             raise ValueError(f"unknown route {name!r}; choose from {ROUTE_NAMES}")

@@ -1,20 +1,27 @@
 """Exact real-root counting, isolation, and Hurwitz stability certificates.
 
-All certificates here are algebraic: Sturm chains computed over the
-integers (primitive pseudo-remainders, signs preserved), bisection with
-rational endpoints, and a fraction-free Routh table.  No floating point
+All certificates here are algebraic: Descartes' rule of signs on integer
+polynomials, bisection at dyadic points, a modular or exact gcd test for
+square-freeness, and a fraction-free Routh table.  No floating point
 anywhere, so a verdict is a proof, not an approximation.
 
-Sturm's theorem is used in the distinct-root form: the chain ends at
-(a multiple of) gcd(p, p'), and the variation difference V(a) - V(b)
-counts the distinct real roots in the half-open interval (a, b], square
-free or not.
+Real roots are found by Vincent-Collins-Akritas bisection (Collins and
+Akritas, SYMSAC 1976; Rouillier and Zimmermann, J. Comput. Appl. Math.
+162, 2004).  By Descartes' rule, the sign variations V of the
+coefficients of (t + 1)^d q(1 / (t + 1)) exceed the number of roots of q
+in (0, 1) by an even number, so V = 0 and V = 1 are exact counts.  The
+positive roots of p(x) and of p(-x) lie below a power of two 2^B; scaled
+onto (0, 1), that interval is halved until every piece has V <= 1.  A
+root exactly at a halving point is counted there and divided out.  The
+bisection needs distinct roots, so it runs on the square-free part of p
+and counts every root once, whatever its multiplicity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .exactnum import (
@@ -25,14 +32,15 @@ from .exactnum import (
     prem_signed,
     primitive_int_coeffs,
     primitive_part,
+    shift_by_one,
 )
 
 
 class RootAtEndpointError(ValueError):
     """An interval endpoint is itself a root.
 
-    Sturm counts over half-open intervals need non-root endpoints; nudge
-    the endpoint by any exact rational step and retry.
+    Counts over half-open intervals need non-root endpoints; nudge the
+    endpoint by any exact rational step and retry.
     """
 
 
@@ -65,6 +73,10 @@ class RouthVerdict:
 class SturmChain:
     """Sturm chain p0 = p, p1 = p', p_{k+1} = -rem(p_{k-1}, p_k).
 
+    No root count in this module uses it.  The tests count with it, as an
+    oracle independent of the Descartes bisection, and perfbench's tracer
+    wraps build, members and variations_at by name.
+
     Members are stored once, as primitive integer coefficient tuples
     (constant term first, positive content removed), which rescales each
     by a positive constant and therefore changes no signs.  The chain
@@ -95,11 +107,6 @@ class SturmChain:
         """The chain as rational polynomials (built on each access)."""
         return tuple(ExactPoly(c) for c in self.coeffs)
 
-    @property
-    def tail_degree(self) -> int:
-        """Degree of the last member, which is deg gcd(p, p')."""
-        return len(self.coeffs[-1]) - 1
-
     def signs_at(self, x: Scalar) -> list[int]:
         """Sign (-1, 0 or 1) of every member at x, in chain order.
 
@@ -124,125 +131,268 @@ class SturmChain:
         """Number of sign changes in the chain evaluated at x."""
         return _sign_changes(self.signs_at(x))
 
-    def variations_at_infinity(self, positive: bool) -> int:
-        """Sign changes in the limit x -> +inf or x -> -inf.
 
-        At +inf the sign of each member is the sign of its leading
-        coefficient; at -inf that sign flips for odd degrees.
-        """
-        signs = []
-        for cs in self.coeffs:
-            s = 1 if cs[-1] > 0 else -1
-            if not positive and len(cs) % 2 == 0:
-                s = -s
-            signs.append(s)
-        return _sign_changes(signs)
+def _sign_changes(values: Sequence[int]) -> int:
+    """Sign changes in a sequence of integers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sign_changes(signs: Sequence[int]) -> int:
-    """Sign changes in a sequence of -1/0/1, zeros skipped."""
-    nonzero = [s for s in signs if s]
-    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+def _sign_at(f: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial f at x = a/b, b > 0.
+
+    Evaluated as the homogeneous sum f_0 b^d + f_1 a b^(d-1) + ... +
+    f_d a^d, which is b^d f(x) and so has its sign.
+    """
+    a, b = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(f):
+        acc = acc * a + c * scale
+        scale *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _root_bound_exponent(f: Sequence[int]) -> int:
+    """An exponent B with every complex root z of f inside |z| < 2^B.
+
+    Fujiwara's bound (Tohoku Math. J. 10, 1916), rounded up to a power of
+    two.  Let d = deg f and M = max |f_(d-i) / f_d|^(1/i) over i = 1..d.
+    If |z| >= 2M > 0, then |f_(d-i)| <= |f_d| M^i gives
+
+        |f(z)| >= |f_d| |z|^d (1 - sum_i (M / |z|)^i)
+               >= |f_d| |z|^d (1 - sum_i 2^-i) = |f_d| |z|^d 2^-d > 0,
+
+    so no root has |z| >= 2M, nor |z| >= 2^B for any 2^B >= 2M.  The
+    least such B is 1 + max e_i, e_i the least integer with
+    |f_(d-i)| <= |f_d| 2^(i e_i), taken over the nonzero f_(d-i).  With
+    none of those, every root is 0 and B = 0 serves.
+    """
+    d = len(f) - 1
+    lead = abs(f[-1])
+    exponents = []
+    for i in range(1, d + 1):
+        a = abs(f[d - i])
+        if not a:
+            continue
+        # the least t with a <= lead 2^t is t0 or t0 + 1
+        t = a.bit_length() - lead.bit_length()
+        if a << max(-t, 0) > lead << max(t, 0):
+            t += 1
+        exponents.append(-(-t // i))
+    return 1 + max(exponents, default=-1)
+
+
+def _descartes(q: Sequence[int]) -> int:
+    """Sign variations of (t + 1)^d q(1 / (t + 1)): the roots of q in
+    (0, 1) plus an even number.  Zero if q has no sign variation at all,
+    since then it has no positive root."""
+    if _sign_changes(q) == 0:
+        return 0
+    return _sign_changes(shift_by_one(reversed(q)))
+
+
+def _deflate_at_one(q: list[int]) -> list[int]:
+    """q(t) / (t - 1) for q(1) = 0: the quotient's coefficients are the
+    suffix sums of q's."""
+    return list(accumulate(q[:0:-1]))[::-1]
+
+
+def _unit_roots(g: list[int]) -> list[tuple[int, int, list[int] | None]]:
+    """The roots of g in (0, 1); g square free, nonzero at 0 and 1.
+
+    Each root is (c, k, q).  When q is None the root is c / 2^k.
+    Otherwise it is the only root in the open interval
+    (c / 2^k, (c + 1) / 2^k), and q(t) is, up to a nonzero factor without
+    roots in that interval, g((c + t) / 2^k); q is nonzero at t = 0 and
+    t = 1, because every root found at a halving point is divided out of
+    both halves.
+    """
+    found: list[tuple[int, int, list[int] | None]] = []
+    todo = [(0, 0, g)]
+    while todo:
+        c, k, q = todo.pop()
+        v = _descartes(q)
+        if v == 0:
+            continue
+        if v == 1:
+            found.append((c, k, q))
+            continue
+        d = len(q) - 1
+        left = [a << (d - i) for i, a in enumerate(q)]  # 2^d q(t / 2)
+        twos = min((a & -a).bit_length() for a in left if a) - 1
+        if twos:  # a positive factor, so no sign changes
+            left = [a >> twos for a in left]
+        c, k = 2 * c, k + 1
+        if sum(left) == 0:  # q(1/2) = 0
+            found.append((c + 1, k, None))
+            left = _deflate_at_one(left)
+        todo.append((c + 1, k, shift_by_one(left)))
+        todo.append((c, k, left))
+    return found
+
+
+class _Root:
+    """One real root: exactly `exact`, or the only root of q in (lo, hi).
+
+    q is the polynomial of a Descartes leaf in its variable t, which maps
+    to x = x0 + (x1 - x0) t; (lo, hi) lies in (0, 1).  q is nonzero at
+    t = 0 and has one simple root in (0, 1), so below that root q has the
+    sign of q(0) and above it the other sign.  halve() keeps the half of
+    (lo, hi) that holds the root, by the sign of q at the midpoint.
+    """
+
+    __slots__ = ("exact", "q", "x0", "x1", "lo", "hi")
+
+    def __init__(self, exact=None, q=None, x0=None, x1=None):
+        assert q is None or (q[0] and sum(q)), "a leaf polynomial vanishes at an end"
+        self.exact = exact
+        self.q, self.x0, self.x1 = q, x0, x1
+        self.lo, self.hi = Fraction(0), Fraction(1)
+
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """The interval in x, lower end first; a point for an exact root."""
+        if self.exact is not None:
+            return self.exact, self.exact
+        a = self.x0 + (self.x1 - self.x0) * self.lo
+        b = self.x0 + (self.x1 - self.x0) * self.hi
+        return (a, b) if a < b else (b, a)
+
+    def halve(self) -> None:
+        mid = (self.lo + self.hi) / 2
+        sign = _sign_at(self.q, mid)
+        if sign == 0:
+            self.exact = self.x0 + (self.x1 - self.x0) * mid
+        elif (sign > 0) == (self.q[0] > 0):
+            self.lo = mid
+        else:
+            self.hi = mid
+
+
+def _real_roots(
+    f: list[int], negative: bool = True, positive: bool = True
+) -> list[_Root]:
+    """The real roots of the square-free integer polynomial f: zero if it
+    is a root, the negative ones if asked, the positive ones if asked.
+
+    A side's roots are the positive roots of f(x) or f(-x); with 2^B a
+    bound on them, the scaled polynomial 2^(Bd) f(+-2^B t) or
+    2^(-Bd) f(+-2^B t) has integer coefficients and the same roots in
+    (0, 1), and is nonzero at t = 0 and t = 1.
+    """
+    roots = []
+    if f[0] == 0:
+        roots.append(_Root(exact=Fraction(0)))
+        f = f[1:]
+    if len(f) < 2:
+        return roots
+    d = len(f) - 1
+    bound = _root_bound_exponent(f)
+    scale = Fraction(2) ** bound
+    for side, wanted in ((-1, negative), (1, positive)):
+        if not wanted:
+            continue
+        h = [c if side > 0 or i % 2 == 0 else -c for i, c in enumerate(f)]
+        if bound >= 0:
+            g = [c << (bound * i) for i, c in enumerate(h)]
+        else:
+            g = [c << (-bound * (d - i)) for i, c in enumerate(h)]
+        for c, k, q in _unit_roots(g):
+            x0 = side * scale * Fraction(c, 1 << k)
+            if q is None:
+                roots.append(_Root(exact=x0))
+            else:
+                roots.append(_Root(q=q, x0=x0, x1=x0 + side * scale / (1 << k)))
+    return roots
+
+
+def _square_free_ints(p: ExactPoly) -> list[int]:
+    """Primitive integer coefficients of a square-free polynomial with the
+    roots of p: p itself when the modular certificate says it is square
+    free, else p / gcd(p, p')."""
+    f = primitive_int_coeffs(p.coeffs)
+    if len(f) <= 2 or _certified_square_free(f):
+        return f
+    return primitive_int_coeffs(square_free_part(p).coeffs)
 
 
 def count_real_roots(
-    p: ExactPoly,
-    lower: Scalar | None = None,
-    upper: Scalar | None = None,
-    chain: SturmChain | None = None,
+    p: ExactPoly, lower: Scalar | None = None, upper: Scalar | None = None
 ) -> int:
     """Distinct real roots of p in (lower, upper]; None means unbounded.
 
     Finite endpoints must not be roots (RootAtEndpointError otherwise).
-    Multiple roots are counted once: the chain construction works for
-    non-square-free input because its tail divides every member, and
-    dividing the whole chain by it leaves sign variations unchanged.
-    A chain passed in must be SturmChain.build(p).
+    Multiple roots are counted once.  A root whose isolating interval
+    straddles an endpoint is located by halving that interval until it
+    does not.
     """
     if p.is_zero:
         raise ValueError("root counting requires a nonzero polynomial")
-    if lower is not None and upper is not None and Fraction(lower) >= Fraction(upper):
+    lower = None if lower is None else Fraction(lower)
+    upper = None if upper is None else Fraction(upper)
+    if lower is not None and upper is not None and lower >= upper:
         raise ValueError("interval must satisfy lower < upper")
-    if chain is None:
-        chain = SturmChain.build(p)
-    variations = []
-    for endpoint, positive in ((lower, False), (upper, True)):
-        if endpoint is None:
-            variations.append(chain.variations_at_infinity(positive=positive))
-            continue
-        signs = chain.signs_at(endpoint)
-        if signs[0] == 0:
+    f = _square_free_ints(p)
+    for endpoint in (lower, upper):
+        if endpoint is not None and _sign_at(f, endpoint) == 0:
             raise RootAtEndpointError(
-                f"{endpoint} is a root of the polynomial; Sturm endpoints must "
-                "not be roots - shift the endpoint by a small exact rational"
+                f"{endpoint} is a root of the polynomial; interval endpoints "
+                "must not be roots - shift the endpoint by a small exact rational"
             )
-        variations.append(_sign_changes(signs))
-    return variations[0] - variations[1]
+    roots = _real_roots(
+        f,
+        negative=lower is None or lower < 0,
+        positive=upper is None or upper > 0,
+    )
+    count = 0
+    for root in roots:
+        lo, hi = root.bounds()
+        while any(e is not None and lo < e < hi for e in (lower, upper)):
+            root.halve()
+            lo, hi = root.bounds()
+        count += (lower is None or lo >= lower) and (upper is None or hi <= upper)
+    return count
 
 
-def _cauchy_bound(p: ExactPoly) -> Fraction:
-    """A rational B with every real root of p strictly inside (-B, B)."""
-    lead = abs(p.leading_coefficient())
-    big = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return big / lead + 1
-
-
-def isolate_real_roots(
-    p: ExactPoly, max_width: Scalar = 1, chain: SturmChain | None = None
-) -> list[RootInterval]:
+def isolate_real_roots(p: ExactPoly, max_width: Scalar = 1) -> list[RootInterval]:
     """Disjoint rational intervals, each holding exactly one distinct real
     root of p, every interval no wider than max_width, sorted by position.
 
     Interval endpoints are never roots.  Works on non-square-free input
-    (each distinct root is isolated once).  A chain passed in must be
-    SturmChain.build(p).
+    (each distinct root is isolated once).  A root inside a Descartes
+    leaf keeps the leaf's interval, halved until it is narrow enough and
+    neither end is a root.  A root r found exactly gets the interval
+    (r - h, r + h], the widest with 2h <= max_width that reaches at most
+    halfway to the next interval on either side.
     """
     if p.is_zero:
         raise ValueError("root isolation requires a nonzero polynomial")
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
-    if p.degree() == 0:
-        return []
-    if chain is None:
-        chain = SturmChain.build(p)
-    bound = _cauchy_bound(p)
-    v_low = chain.variations_at(-bound)
-    total = v_low - chain.variations_at(bound)
-    if total == 0:
-        return []
-    done: list[RootInterval] = []
-    # (lower, upper, roots inside, variations at lower)
-    stack: list[tuple[Fraction, Fraction, int, int]] = [(-bound, bound, total, v_low)]
-    while stack:
-        lo, hi, count, v_lo = stack.pop()
-        if count == 1 and hi - lo <= max_width:
-            done.append(RootInterval(lo, hi, 1))
-            continue
-        mid, v_mid = _nonroot_midpoint(chain, lo, hi)
-        left = v_lo - v_mid
-        right = count - left
-        if left:
-            stack.append((lo, mid, left, v_lo))
-        if right:
-            stack.append((mid, hi, right, v_mid))
-    done.sort(key=lambda iv: iv.lower)
-    return done
-
-
-def _nonroot_midpoint(
-    chain: SturmChain, lo: Fraction, hi: Fraction
-) -> tuple[Fraction, int]:
-    """A point near the middle of (lo, hi) where the chain's polynomial
-    does not vanish, with the chain's sign variations there."""
-    mid = (lo + hi) / 2
-    step = 2
-    signs = chain.signs_at(mid)
-    while signs[0] == 0:
-        mid = (lo + hi) / 2 + (hi - lo) / (1 << step)
-        step += 1
-        signs = chain.signs_at(mid)
-    return mid, _sign_changes(signs)
+    roots = sorted(
+        _real_roots(_square_free_ints(p)),
+        key=lambda root: (root.bounds()[0], root.exact is None),
+    )
+    exact = {root.exact for root in roots if root.exact is not None}
+    for root in roots:
+        lo, hi = root.bounds()
+        while root.exact is None and (
+            hi - lo > max_width or lo in exact or hi in exact
+        ):
+            root.halve()
+            lo, hi = root.bounds()
+    intervals = []
+    for i, root in enumerate(roots):
+        lo, hi = root.bounds()
+        if root.exact is not None:
+            half = max_width / 2
+            if i > 0:
+                half = min(half, (lo - roots[i - 1].bounds()[1]) / 2)
+            if i + 1 < len(roots):
+                half = min(half, (roots[i + 1].bounds()[0] - hi) / 2)
+            lo, hi = lo - half, hi + half
+        intervals.append(RootInterval(lo, hi, 1))
+    return intervals
 
 
 # Fixed 62-bit primes for the one-sided square-freeness certificate.
@@ -273,32 +423,34 @@ def _gf_gcd_degree(f: Sequence[int], prime: int) -> int:
     return len(a) - 1
 
 
-def is_square_free(p: ExactPoly, chain: SturmChain | None = None) -> bool:
-    """Whether gcd(p, p') is constant, i.e. p has no repeated roots.
+def _certified_square_free(f: Sequence[int]) -> bool:
+    """True when a modular certificate proves f square free.
 
-    Tries a modular certificate first: if gcd(p mod q, p' mod q) is
-    constant for a prime q that divides neither leading coefficient, then
-    the rational gcd is constant too (the implication only runs this
-    direction, so the shortcut is sound).  When the modular answer is
-    inconclusive, decides by the degree of the chain's last member, which
-    is deg gcd(p, p').  A chain passed in must be SturmChain.build(p);
-    without one it is built here.
+    If gcd(f mod q, f' mod q) is constant for a prime q that divides
+    neither leading coefficient, then the rational gcd is constant too.
+    The implication only runs this direction, so False is inconclusive.
     """
-    if p.is_zero:
-        raise ValueError("square-freeness is undefined for the zero polynomial")
-    deg = p.degree()
-    if deg <= 1:
-        return True
-    f = primitive_int_coeffs(p.coeffs)
+    deg = len(f) - 1
     for prime in _SQFREE_PRIMES:
         if f[-1] % prime == 0 or (deg * f[-1]) % prime == 0:
             continue
-        if _gf_gcd_degree(f, prime) == 0:
-            return True
-        break
-    if chain is None:
-        chain = SturmChain.build(p)
-    return chain.tail_degree == 0
+        return _gf_gcd_degree(f, prime) == 0
+    return False
+
+
+def is_square_free(p: ExactPoly) -> bool:
+    """Whether gcd(p, p') is constant, i.e. p has no repeated roots.
+
+    The modular certificate decides when it is conclusive; otherwise the
+    exact gcd does.
+    """
+    if p.is_zero:
+        raise ValueError("square-freeness is undefined for the zero polynomial")
+    if p.degree() <= 1:
+        return True
+    if _certified_square_free(primitive_int_coeffs(p.coeffs)):
+        return True
+    return poly_gcd(p, p.derivative()).degree() == 0
 
 
 def square_free_part(p: ExactPoly) -> ExactPoly:
@@ -315,33 +467,27 @@ def square_free_part(p: ExactPoly) -> ExactPoly:
     return quotient.monic()
 
 
-def is_real_rooted(p: ExactPoly, chain: SturmChain | None = None) -> bool:
+def is_real_rooted(p: ExactPoly) -> bool:
     """Whether every complex root of p is real (counted without
-    multiplicity, which loses nothing).
-
-    p has deg p - t distinct roots, t = deg gcd(p, p') being the degree
-    of the chain's last member, so it is real-rooted iff its chain counts
-    that many real ones.  A chain passed in must be SturmChain.build(p).
-    """
+    multiplicity, which loses nothing): p has as many distinct real roots
+    as its square-free part has degree."""
     if p.is_zero:
         raise ValueError("real-rootedness is undefined for the zero polynomial")
-    if chain is None:
-        chain = SturmChain.build(p)
-    return count_real_roots(p, chain=chain) == p.degree() - chain.tail_degree
+    f = _square_free_ints(p)
+    return len(_real_roots(f)) == len(f) - 1
 
 
-def all_real_roots_negative(p: ExactPoly, chain: SturmChain | None = None) -> bool:
+def all_real_roots_negative(p: ExactPoly) -> bool:
     """True iff p has no real root in [0, +infinity).
 
     Complex roots are not constrained; combine with is_real_rooted when
-    full negativity of the spectrum is the question.  A chain passed in
-    must be SturmChain.build(p).
+    full negativity of the spectrum is the question.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no root data")
     if p.coefficient(0) == 0:
         return False
-    return count_real_roots(p, lower=0, upper=None, chain=chain) == 0
+    return count_real_roots(p, lower=0, upper=None) == 0
 
 
 def hurwitz_stable(p: ExactPoly) -> RouthVerdict:

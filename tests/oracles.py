@@ -9,7 +9,9 @@ Toeplitz matrix entries.  It also keeps the plain, direct forms of five
 fast package kernels (the divisor-sum recursion, the Taylor shift, the
 ultra-log-concavity test, and the hook and binomial partition sums with
 their coefficient lists expanded), so each kernel can be checked
-against its textbook statement, plus exact division by claimed factors.
+against its textbook statement, plus exact division by claimed factors,
+and Sturm's theorem as the root count the Descartes bisection of
+rootcert is checked against.
 """
 
 import math
@@ -19,6 +21,7 @@ from fractions import Fraction
 from darcais.exactnum import ExactPoly, convolve, poly_divmod
 from darcais.partitions import HookMultiset, HookSelector, Partition, enumerate_partitions
 from darcais.pf_tnn import ToeplitzSeq
+from darcais.rootcert import SturmChain
 
 
 class HookConsistencyError(ArithmeticError):
@@ -338,3 +341,68 @@ def cells(partition: Partition):
 def elements(hooks: HookMultiset) -> tuple[int, ...]:
     """All hook values, repeated by multiplicity, in increasing order."""
     return tuple(value for value, mult in hooks.counts for _ in range(mult))
+
+
+def variations_at_infinity(chain: SturmChain, positive: bool) -> int:
+    """Sign changes of the chain in the limit x -> +inf or x -> -inf.
+
+    At +inf the sign of each member is the sign of its leading
+    coefficient; at -inf that sign flips for odd degrees.
+    """
+    signs = []
+    for cs in chain.coeffs:
+        s = 1 if cs[-1] > 0 else -1
+        if not positive and len(cs) % 2 == 0:
+            s = -s
+        signs.append(s)
+    return _sign_changes(signs)
+
+
+def _sign_changes(signs) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+
+
+def sturm_count(p: ExactPoly, lower=None, upper=None, chain=None) -> int:
+    """Distinct real roots of p in (lower, upper] by Sturm's theorem; None
+    means unbounded, and finite endpoints must not be roots.
+
+    The chain ends at a multiple of gcd(p, p'), which divides every
+    member, so its variation difference counts distinct roots whether p
+    is square free or not.  A chain passed in must be SturmChain.build(p).
+    rootcert's own root counts never reach SturmChain
+    (tests/test_structure.py), so the two counts are independent.
+    """
+    if chain is None:
+        chain = SturmChain.build(p)
+    variations = []
+    for endpoint, positive in ((lower, False), (upper, True)):
+        if endpoint is None:
+            variations.append(variations_at_infinity(chain, positive))
+            continue
+        signs = chain.signs_at(Fraction(endpoint))
+        if signs[0] == 0:
+            raise ValueError(f"{endpoint} is a root; Sturm endpoints must not be roots")
+        variations.append(_sign_changes(signs))
+    return variations[0] - variations[1]
+
+
+def sturm_tail_degree(p: ExactPoly) -> int:
+    """deg gcd(p, p'): the degree of the last member of p's Sturm chain."""
+    return len(SturmChain.build(p).coeffs[-1]) - 1
+
+
+def check_isolation(p: ExactPoly, intervals, max_width) -> None:
+    """Assert, by Sturm counts, that the intervals isolate the distinct
+    real roots of p: each holds exactly one, its endpoints are not roots,
+    it is no wider than max_width, and together they hold them all, in
+    increasing order without overlap."""
+    chain = SturmChain.build(p)
+    for iv in intervals:
+        assert iv.count == 1
+        assert 0 < iv.upper - iv.lower <= max_width
+        assert chain.signs_at(iv.lower)[0] != 0 and chain.signs_at(iv.upper)[0] != 0
+        assert sturm_count(p, iv.lower, iv.upper, chain=chain) == 1
+    for a, b in zip(intervals, intervals[1:]):
+        assert a.upper <= b.lower
+    assert len(intervals) == sturm_count(p, chain=chain)

@@ -26,7 +26,6 @@ from darcais.polynomials import (
     scaled_coeffs,
 )
 from darcais.rootcert import (
-    SturmChain,
     count_real_roots,
     hurwitz_stable,
     is_real_rooted,
@@ -146,27 +145,25 @@ def test_criterion_05_root_localization():
         "has one root in each of seven intervals",
     ):
         r = ExactPoly(R_COEFFS)
-        chain = SturmChain.build(r)
         for lo, hi in R_INTERVALS:
-            assert count_real_roots(r, lo, hi, chain=chain) == 1, (lo, hi)
-        assert count_real_roots(r, chain=chain) == 6
+            assert count_real_roots(r, lo, hi) == 1, (lo, hi)
+        assert count_real_roots(r) == 6
         # nothing outside the union of the frozen intervals
-        assert count_real_roots(r, None, -59, chain=chain) == 0
+        assert count_real_roots(r, None, -59) == 0
         gaps = [(-58, -33), (-32, -18), (-17, -14), (-13, -2)]
         for lo, hi in gaps:
-            assert count_real_roots(r, lo, hi, chain=chain) == 0, (lo, hi)
-        assert count_real_roots(r, 0, None, chain=chain) == 0
+            assert count_real_roots(r, lo, hi) == 0, (lo, hi)
+        assert count_real_roots(r, 0, None) == 0
         assert (r.degree() - 6) // 2 == 1
         assert is_square_free(r)
         # strict positivity certificate on (-6, -5)
-        assert count_real_roots(r, -6, -5, chain=chain) == 0
+        assert count_real_roots(r, -6, -5) == 0
         assert r(-6) == 2177280 > 0
         assert r(-5) == 1632960 > 0
         rp = r.derivative()
-        chain_p = SturmChain.build(rp)
-        assert count_real_roots(rp, chain=chain_p) == 7
+        assert count_real_roots(rp) == 7
         for lo, hi in R_PRIME_INTERVALS:
-            assert count_real_roots(rp, lo, hi, chain=chain_p) == 1, (lo, hi)
+            assert count_real_roots(rp, lo, hi) == 1, (lo, hi)
 
 
 def test_criterion_06_degree11_factorization():
@@ -180,10 +177,9 @@ def test_criterion_06_degree11_factorization():
         factors = [X] + [ExactPoly([a, 1]) for a in (1, 2, 3, 8)]
         quotient = verify_factorization(u11, factors)
         assert quotient.degree() == 6
-        chain = SturmChain.build(quotient)
-        assert count_real_roots(quotient, chain=chain) == 6
+        assert count_real_roots(quotient) == 6
         for lo, hi in RT_INTERVALS:
-            assert count_real_roots(quotient, lo, hi, chain=chain) == 1, (lo, hi)
+            assert count_real_roots(quotient, lo, hi) == 1, (lo, hi)
 
 
 def test_criterion_07_stability_and_square_freeness():
@@ -264,16 +260,15 @@ def _suite_sturm_additivity(rng, count):
         p = ExactPoly([1])
         for r in roots:
             p = p * ExactPoly([-r, 1])
-        chain = SturmChain.build(p)
         a, b, c = sorted(
             Fraction(2 * rng.randint(-16, 16) + 1, 2) for _ in range(3)
         )
         if not a < b < c:
             continue
-        left = count_real_roots(p, a, b, chain=chain)
-        right = count_real_roots(p, b, c, chain=chain)
-        assert left + right == count_real_roots(p, a, c, chain=chain)
-        assert count_real_roots(p, chain=chain) == len(roots)
+        left = count_real_roots(p, a, b)
+        right = count_real_roots(p, b, c)
+        assert left + right == count_real_roots(p, a, c)
+        assert count_real_roots(p) == len(roots)
 
 
 def _det_cofactor(matrix):

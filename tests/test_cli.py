@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from darcais import cache as cache_mod
-from darcais import polynomials, rootcert
+from darcais import polynomials
 from darcais.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from darcais.pf_tnn import ToeplitzSeq, pf_test
 from darcais.polynomials import darcais_record
@@ -472,6 +472,9 @@ class TestCache:
 
 
 class TestOneSturmChainPerPolynomial:
+    """At most one Sturm chain per polynomial; since the root counts moved
+    to Descartes bisection, roots and pf build none."""
+
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
@@ -495,19 +498,14 @@ class TestOneSturmChainPerPolynomial:
         ],
     )
     def test_cli_builds_one_chain(self, capsys, builds, argv):
-        run(capsys, *argv)
-        assert len(builds) == 1
+        code, out, _ = run(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_MATH_FAIL) and out
+        assert builds == []
 
     def test_pf_test_builds_one_chain(self, builds):
         pf_test(ToeplitzSeq((1, 3, 3, 1)))
         pf_test(ToeplitzSeq((1, 1, 1)))
-        assert len(builds) == 2
-
-    def test_square_freeness_disagreement_is_an_internal_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(rootcert, "is_square_free", lambda p, chain=None: False)
-        code, out, err = run(capsys, "roots", "--poly", "3 2 1")
-        assert code == EXIT_MATH_FAIL
-        assert out == "" and "internal consistency failure" in err
+        assert builds == []
 
 
 class TestOutputContract:
@@ -531,11 +529,11 @@ class TestOutputContract:
     def test_stage_timings_are_reported(self, capsys):
         _, out, _ = run(capsys, "roots", "--n", "8", "--isolate", "--hurwitz")
         assert set(parse_lines(out)[0]["timings"]) == {
-            "sturm_chain", "count", "isolate", "routh"
+            "square_free", "count", "isolate", "routh"
         }
         _, out, _ = run(capsys, "pf", "--coeffs", "2 2 1")
         assert set(parse_lines(out)[0]["timings"]) == {
-            "sturm_chain", "real_rootedness", "minor_search"
+            "real_rootedness", "minor_search"
         }
 
     def test_version(self, capsys):

@@ -33,11 +33,7 @@ class TestStructure:
     def test_degree_and_leading(self):
         p = P(3, 0, Fraction(1, 2))
         assert p.degree() == 2
-        assert p.leading_coefficient() == Fraction(1, 2)
-
-    def test_leading_of_zero_raises(self):
-        with pytest.raises(ValueError):
-            ExactPoly().leading_coefficient()
+        assert p.coeffs[-1] == Fraction(1, 2)
 
     def test_coefficient_beyond_degree_is_zero(self):
         assert P(1, 2).coefficient(17) == 0
@@ -112,7 +108,7 @@ class TestGcd:
         for p in (a, b):
             _, rem = poly_divmod(p, g)
             assert rem.is_zero
-        assert g.leading_coefficient() == 1
+        assert g.coeffs[-1] == 1
 
 
 class TestRingAxioms:

@@ -16,10 +16,16 @@ import io
 import json
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 from darcais import cache as cache_mod
 from darcais.cli import main
+from darcais.exactnum import ExactPoly
+from darcais.polynomials import darcais_record
+from darcais.rootcert import RootInterval
+from oracles import check_isolation
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -51,6 +57,27 @@ def test_golden_output(name, monkeypatch):
     code, out = run_case(case["argv"])
     assert code == case["exit_code"]
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name in CASES if "--sturm" in CASES[name]["argv"]
+                   or "--isolate" in CASES[name]["argv"])
+)
+def test_golden_intervals_are_proved_by_sturm(name):
+    # every recorded isolating interval holds exactly one root of the
+    # case's polynomial by Sturm's theorem, and its endpoints are not roots
+    argv = CASES[name]["argv"]
+    if "--n" in argv:
+        poly = ExactPoly(darcais_record(int(argv[argv.index("--n") + 1])).numer_coeffs)
+    else:
+        poly = ExactPoly.from_text(argv[argv.index("--poly") + 1])
+    width = Fraction(argv[argv.index("--max-width") + 1]) if "--max-width" in argv else 1
+    (line,) = (GOLDEN / f"{name}.out").read_text(encoding="ascii").splitlines()
+    intervals = [
+        RootInterval(Fraction(iv["lower"]), Fraction(iv["upper"]), iv["count"])
+        for iv in json.loads(line)["details"].get("intervals", [])
+    ]
+    check_isolation(poly, intervals, width)
 
 
 if __name__ == "__main__":

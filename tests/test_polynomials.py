@@ -13,6 +13,7 @@ from darcais.polynomials import (
     _exact_quotient,
     _read_slots,
     DArcaisRecord,
+    ROUTE_NAMES,
     binomial_sum,
     darcais_poly,
     darcais_record,
@@ -76,7 +77,7 @@ class TestRecursion:
         for n in range(0, 30):
             p = darcais_poly(n)
             assert p.degree() == n
-            assert p.leading_coefficient() == Fraction(1, math.factorial(n))
+            assert p.coeffs[-1] == Fraction(1, math.factorial(n))
 
     def test_scaled_coefficients_are_positive_integers(self):
         for n in range(1, 40):
@@ -229,14 +230,14 @@ class TestHookRoutes:
 
 class TestVerifyIdentity:
     def test_all_routes_pass_n10(self):
-        report = verify_identity(10)
+        report = verify_identity(10, ROUTE_NAMES)
         assert report.passed
         statuses = report.details["routes"]
         assert all(v["status"] == "pass" for v in statuses.values())
         assert report.witnesses == []
 
     def test_trivially_passes_n1(self):
-        assert verify_identity(1).passed
+        assert verify_identity(1, ROUTE_NAMES).passed
 
     def test_infeasible_route_is_skipped_not_silent(self):
         report = verify_identity(
@@ -269,7 +270,7 @@ class TestVerifyIdentity:
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            verify_identity(0)
+            verify_identity(0, ROUTE_NAMES)
 
 
 class TestSeeding:

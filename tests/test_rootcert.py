@@ -1,4 +1,5 @@
-"""Tests for Sturm chains, root isolation, and Routh-Hurwitz certificates."""
+"""Tests for real-root counting and isolation, checked against Sturm's
+theorem, and for Routh-Hurwitz certificates."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darcais import rootcert
-from darcais.exactnum import ExactPoly, poly_gcd
+from darcais.exactnum import ExactPoly, poly_divmod, poly_gcd, primitive_int_coeffs
 from darcais.polynomials import darcais_record, scaled_coeffs
 from darcais.rootcert import (
     RootAtEndpointError,
@@ -21,7 +22,14 @@ from darcais.rootcert import (
     isolate_real_roots,
     square_free_part,
 )
-from oracles import FactorizationError, verify_factorization
+from oracles import (
+    FactorizationError,
+    check_isolation,
+    sturm_count,
+    sturm_tail_degree,
+    variations_at_infinity,
+    verify_factorization,
+)
 
 # degree-8 cofactor of the n = 10 normalized numerator after dividing
 # out (x + 1); it has six distinct real roots and one complex pair
@@ -64,8 +72,8 @@ class TestSturmChain:
         p = linear_product([-7, -3, 0, 2, 11])
         chain = SturmChain.build(p)
         big = 10**9
-        assert chain.variations_at_infinity(positive=True) == chain.variations_at(big)
-        assert chain.variations_at_infinity(positive=False) == chain.variations_at(-big)
+        assert variations_at_infinity(chain, positive=True) == chain.variations_at(big)
+        assert variations_at_infinity(chain, positive=False) == chain.variations_at(-big)
 
 
 class TestCountRealRoots:
@@ -100,11 +108,10 @@ class TestCountRealRoots:
         p = linear_product([-4, -1, 6])
         chain = SturmChain.build(p)
         # half-integer endpoints so no window edge hits a root
-        counts = [
-            count_real_roots(p, a - Fraction(1, 2), a + Fraction(1, 2), chain=chain)
-            for a in range(-10, 11)
-        ]
+        windows = [(a - Fraction(1, 2), a + Fraction(1, 2)) for a in range(-10, 11)]
+        counts = [count_real_roots(p, lo, hi) for lo, hi in windows]
         assert sum(counts) == 3
+        assert counts == [sturm_count(p, lo, hi, chain=chain) for lo, hi in windows]
 
 
 class TestDegree8Cofactor:
@@ -119,9 +126,8 @@ class TestDegree8Cofactor:
         assert not is_real_rooted(self.r)  # degree 8, so one complex pair
 
     def test_one_root_per_interval(self):
-        chain = SturmChain.build(self.r)
         for lo, hi in R_INTERVALS:
-            assert count_real_roots(self.r, lo, hi, chain=chain) == 1
+            assert count_real_roots(self.r, lo, hi) == 1
 
     def test_no_root_between_minus_six_and_minus_five(self):
         assert count_real_roots(self.r, -6, -5) == 0
@@ -135,9 +141,8 @@ class TestDegree8Cofactor:
         rp = self.r.derivative()
         assert is_real_rooted(rp)
         assert count_real_roots(rp) == 7
-        chain = SturmChain.build(rp)
         for lo, hi in R_PRIME_INTERVALS:
-            assert count_real_roots(rp, lo, hi, chain=chain) == 1
+            assert count_real_roots(rp, lo, hi) == 1
 
     def test_higher_derivatives(self):
         rpp = self.r.derivative().derivative()
@@ -154,9 +159,8 @@ class TestDegree6Cofactor:
         rt = ExactPoly(RT_COEFFS)
         assert is_real_rooted(rt)
         assert count_real_roots(rt) == 6
-        chain = SturmChain.build(rt)
         for lo, hi in RT_INTERVALS:
-            assert count_real_roots(rt, lo, hi, chain=chain) == 1
+            assert count_real_roots(rt, lo, hi) == 1
         assert all_real_roots_negative(rt)
 
 
@@ -200,11 +204,10 @@ class TestIsolation:
 
     def test_degree8_cofactor_isolation(self):
         r = ExactPoly(R_COEFFS)
-        chain = SturmChain.build(r)
         intervals = isolate_real_roots(r)
         assert len(intervals) == 6
         for iv in intervals:
-            assert count_real_roots(r, iv.lower, iv.upper, chain=chain) == 1
+            assert count_real_roots(r, iv.lower, iv.upper) == 1
 
 
 class TestSquareFree:
@@ -229,18 +232,18 @@ class TestSquareFree:
         with pytest.raises(ValueError):
             square_free_part(ExactPoly([]))
 
-    def test_without_a_chain_the_sturm_chain_decides(self, monkeypatch):
+    def test_without_a_certificate_the_gcd_decides(self, monkeypatch):
         # (x - 1)^2 (x + 2) has a repeated root, so the modular certificate
-        # is inconclusive and the chain's last member decides, not a gcd
-        monkeypatch.setattr(rootcert, "poly_gcd", None)
-        builds = []
-        build = SturmChain.build
+        # is inconclusive and the exact gcd decides; no Sturm chain is built
+        monkeypatch.setattr(SturmChain, "build", None)
+        gcds = []
+        gcd = rootcert.poly_gcd
         monkeypatch.setattr(
-            SturmChain, "build", lambda p: builds.append(p) or build(p)
+            rootcert, "poly_gcd", lambda a, b: gcds.append(a) or gcd(a, b)
         )
         p = ExactPoly([1, -2, 1]) * ExactPoly([2, 1])
         assert not is_square_free(p)
-        assert builds == [p]
+        assert gcds == [p]
 
     def test_normalized_numerators_square_free(self):
         for n in range(1, 31):
@@ -359,10 +362,9 @@ def test_sturm_counts_are_additive(roots, a, b, c):
     lo, mid, hi = sorted(Fraction(2 * t + 1, 2) for t in (a, b, c))
     if not lo < mid < hi:
         return
-    chain = SturmChain.build(p)
-    left = count_real_roots(p, lo, mid, chain=chain)
-    right = count_real_roots(p, mid, hi, chain=chain)
-    assert left + right == count_real_roots(p, lo, hi, chain=chain)
+    left = count_real_roots(p, lo, mid)
+    right = count_real_roots(p, mid, hi)
+    assert left + right == count_real_roots(p, lo, hi)
 
 
 @settings(derandomize=True, max_examples=80)
@@ -376,3 +378,134 @@ def test_constructed_roots_are_all_found(roots):
     assert count_real_roots(q) == len(roots)
     assert not is_real_rooted(q)
     assert all_real_roots_negative(p) == all(r < 0 for r in roots)
+
+
+def numerator(n):
+    return ExactPoly(darcais_record(n).numer_coeffs)
+
+
+def bound_exponent(p):
+    return rootcert._root_bound_exponent(primitive_int_coeffs(p.coeffs))
+
+
+class TestRootBound:
+    def test_fujiwara_bound_rounded_up_to_a_power_of_two(self):
+        # M = max |a_(d-i) / a_d|^(1/i); the bound is the least 2^B >= 2M
+        for p in [numerator(n) for n in (2, 10, 40, 80)] + [
+            linear_product([-7, 0, 3]),
+            ExactPoly([Fraction(1, 1000), 0, 1]),
+            ExactPoly([-6, 5, 17, 11, 2]),
+            ExactPoly([0, 0, 3]),
+        ]:
+            a = [abs(c) for c in p.coeffs]
+            d = len(a) - 1
+            b = bound_exponent(p)
+            ratios = [(a[d - i] / a[d], i) for i in range(1, d + 1) if a[d - i]]
+            # M <= 2^(B-1), and M > 2^(B-2) unless every root is 0
+            assert all(r <= Fraction(2) ** ((b - 1) * i) for r, i in ratios)
+            assert not ratios or any(r > Fraction(2) ** ((b - 2) * i) for r, i in ratios)
+
+
+class TestDescartesAgainstSturm:
+    """The bisection's counts and intervals, checked by Sturm's theorem."""
+
+    def test_counts_and_bounds_of_the_numerators(self):
+        stripped = 0
+        for n in range(1, 81):
+            p = numerator(n)
+            chain = SturmChain.build(p)
+            total = sturm_count(p, chain=chain)
+            assert count_real_roots(p) == total, n
+            # every real root lies strictly inside the root bound: Sturm
+            # refuses root endpoints, so +-2^B are not roots either
+            edge = 2 ** bound_exponent(p)
+            assert sturm_count(p, -edge, edge, chain=chain) == total, n
+            # -1 is a root exactly when n is not a generalized pentagonal number
+            quotient, remainder = poly_divmod(p, ExactPoly([1, 1]))
+            if remainder.is_zero:
+                stripped += 1
+                assert count_real_roots(quotient) == sturm_count(quotient), n
+        assert stripped == 80 - 14  # 1, 2, 5, 7, 12, 15, 22, 26, 35, 40, 51, 57, 70, 77
+
+    @pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 64)])
+    def test_isolation_of_the_numerators(self, width):
+        for n in range(1, 41):
+            p = numerator(n)
+            check_isolation(p, isolate_real_roots(p, max_width=width), width)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            linear_product([-1, -2, -3]) * ExactPoly([-1, 2]),  # roots -1, -2, -3, 1/2
+            ExactPoly([-3, 2]) * ExactPoly([-1, 2]),  # roots 3/2 and 1/2
+            linear_product([-3, -2, -1, 0, 1, 2, 3]),
+            ExactPoly([-1, 2]) * ExactPoly([-5, 8]) * ExactPoly([-2, 3]),  # 1/2, 5/8, 2/3
+            ExactPoly([3, 8]) * ExactPoly([1, 0, -3]),  # -3/8, +-1/sqrt(3)
+            numerator(11),  # roots -1, -2, -3 and -8
+        ],
+    )
+    def test_roots_at_dyadic_split_points(self, p):
+        # a root at a halving point is counted there and divided out; the
+        # intervals around it and its neighbours hold one root each
+        assert count_real_roots(p) == sturm_count(p)
+        for width in (Fraction(4), Fraction(1), Fraction(1, 3), Fraction(1, 1024)):
+            check_isolation(p, isolate_real_roots(p, max_width=width), width)
+        grid = [Fraction(k, 6) for k in range(-60, 61)]
+        edges = [x for x in grid if p(x) != 0]
+        for lo, hi in zip(edges, edges[3:]):
+            assert count_real_roots(p, lo, hi) == sturm_count(p, lo, hi)
+        assert count_real_roots(p, None, edges[30]) == sturm_count(p, None, edges[30])
+        assert count_real_roots(p, edges[-30], None) == sturm_count(p, edges[-30], None)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ExactPoly([1, -2, 1]) * ExactPoly([2, 1]),  # (x - 1)^2 (x + 2)
+            # (2x - 1)^2 (x - 3)(x^2 + 1)
+            ExactPoly([-1, 2]) * ExactPoly([-1, 2]) * linear_product([3]) * ExactPoly([1, 0, 1]),
+            linear_product([0, 0, 0, 5]),  # x^3 (x - 5)
+            ExactPoly([-2, 0, 1]) * ExactPoly([-2, 0, 1]) * ExactPoly([1, 1]),  # (x^2 - 2)^2 (x + 1)
+            ExactPoly([-1, 3]) * ExactPoly([-1, 3]) * ExactPoly([-1, 3]) * ExactPoly([7, 1]),
+        ],
+    )
+    def test_repeated_roots_with_an_inconclusive_certificate(self, p):
+        # the modular certificate cannot prove these square free, so the
+        # counts run on p / gcd(p, p'): every distinct root once
+        assert not rootcert._certified_square_free(primitive_int_coeffs(p.coeffs))
+        assert not is_square_free(p)
+        distinct = p.degree() - sturm_tail_degree(p)
+        assert count_real_roots(p) == sturm_count(p)
+        assert is_real_rooted(p) == (sturm_count(p) == distinct)
+        for width in (Fraction(1), Fraction(1, 256)):
+            check_isolation(p, isolate_real_roots(p, max_width=width), width)
+
+    @pytest.mark.parametrize("c, real", [(2**59, 0), (1 - 3 * 2**59, 2)])
+    def test_square_free_with_an_inconclusive_certificate(self, c, real):
+        # x^2 + x + c has discriminant 1 - 4c = -(2^61 - 1) or 3 (2^61 - 1),
+        # so mod the first certificate prime it has a double root
+        p = ExactPoly([c, 1, 1])
+        assert not rootcert._certified_square_free(primitive_int_coeffs(p.coeffs))
+        assert is_square_free(p)
+        assert count_real_roots(p) == sturm_count(p) == real
+        assert is_real_rooted(p) == (real == 2)
+        check_isolation(p, isolate_real_roots(p), 1)
+
+
+@settings(derandomize=True, max_examples=120)
+@given(
+    st.lists(
+        st.tuples(st.integers(-40, 40), st.integers(0, 4), st.integers(1, 2)),
+        min_size=1, max_size=5,
+    ),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+)
+def test_dyadic_roots_agree_with_sturm(roots, cofactor):
+    # roots a / 2^k, some doubled, times a random cofactor
+    p = ExactPoly(cofactor[:-1] + [cofactor[-1] or 1])
+    for a, k, mult in roots:
+        for _ in range(mult):
+            p = p * ExactPoly([-a, 2**k])
+    assert count_real_roots(p) == sturm_count(p)
+    assert is_real_rooted(p) == (sturm_count(p) == p.degree() - sturm_tail_degree(p))
+    width = Fraction(1, 16)
+    check_isolation(p, isolate_real_roots(p, max_width=width), width)

@@ -1,4 +1,4 @@
-"""Differential test of Sturm counting and isolation against sympy.
+"""Differential test of root counting and isolation against sympy.
 
 sympy is a test-only oracle; the module is skipped where it is missing.
 """
@@ -10,8 +10,10 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from darcais.exactnum import ExactPoly
+from darcais import rootcert
+from darcais.exactnum import ExactPoly, primitive_int_coeffs
 from darcais.rootcert import count_real_roots, isolate_real_roots
+from oracles import check_isolation
 
 X = sympy.symbols("x")
 
@@ -62,3 +64,8 @@ def test_counts_and_isolation_agree_with_sympy(seed):
         assert root <= sympy.Rational(iv.upper.numerator, iv.upper.denominator)
     for a, b in zip(intervals, intervals[1:]):
         assert a.upper <= b.lower
+    check_isolation(p, intervals, width)
+
+    # every real root lies strictly inside the power-of-two root bound
+    edge = 2 ** rootcert._root_bound_exponent(primitive_int_coeffs(p.coeffs))
+    assert all(-edge < root < edge for root in distinct)

@@ -17,9 +17,8 @@ ROOTS = ("cli.main", "cli.entry")
 # They are walk roots too, so what they call counts as reached.
 TRACER = "perfbench tracer wraps it by name (ROADMAP item 6)"
 ALLOWED = {
-    "rootcert.square_free_part": TRACER,
-    "exactnum.poly_gcd": TRACER,
     "exactnum.poly_divmod": TRACER,
+    "rootcert.SturmChain.build": TRACER,
     "rootcert.SturmChain.members": TRACER,
     "rootcert.SturmChain.variations_at": TRACER,
     "exactnum.ExactPoly.__call__": TRACER,
@@ -180,6 +179,17 @@ def test_series_oracle_references_no_package_code_but_exact_poly():
             todo.append(name)
     assert "darcais" not in used
     assert used & imported == {"ExactPoly"}
+
+
+def test_root_counts_never_reach_the_sturm_chain():
+    # tests/oracles.py counts roots with SturmChain to check the Descartes
+    # bisection; if the bisection reached the chain, one bug could pass both
+    reach, _, _ = _package_reach()
+    for entry in ("rootcert.count_real_roots", "rootcert.isolate_real_roots"):
+        reached = reach(entry)
+        assert "rootcert._unit_roots" in reached  # the walk sees the bisection
+        assert "exactnum.poly_gcd" in reached  # and the square-free fallback
+        assert {key for key in reached if "SturmChain" in key} == set(), entry
 
 
 def test_partition_routes_share_no_function_with_the_baseline():
