@@ -6,8 +6,9 @@ identities satisfied by their shifts Q_n(x) = P_n(x + 1) over several
 independent computation routes, and certifies analytic properties of the
 coefficient sequences: Polya frequency (via Toeplitz minors and the
 Aissen-Schoenberg-Whitney equivalence), real-rootedness and root
-location (Descartes bisection), Hurwitz stability (fraction-free Routh table),
-and coefficient shape (unimodality, log-concavity, ultra-log-concavity).
+location (Descartes bisection), Hurwitz stability (fraction-free Routh
+table), and coefficient shape (unimodality, log-concavity,
+ultra-log-concavity).
 
 Every computation is exact: arbitrary-precision integers and rationals
 throughout, no floating point on any certification path.

@@ -221,7 +221,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     # square free; the root counts run on the square-free part
     start = time.perf_counter()
     square_free = rootcert.is_square_free(poly)
-    distinct = poly.degree() if square_free else rootcert.square_free_part(poly).degree()
+    distinct = (poly if square_free else rootcert.square_free_part(poly)).degree()
     details["square_free"] = square_free
     timings["square_free"] = time.perf_counter() - start
 

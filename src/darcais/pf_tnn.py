@@ -7,7 +7,7 @@ theorem this happens exactly when the attached polynomial
 a_0 + a_1 x + ... + a_d x^d has only real roots.
 
 pf_test decides PF through that equivalence (delegating real-rootedness
-to the Descartes root counts in rootcert) and, for a failing sequence, also
+to the root counts in rootcert) and, for a failing sequence, also
 hunts down an explicit negative contiguous minor - a matrix-side
 certificate independent of the root count.  Minors are evaluated
 exactly by Bareiss fraction-free elimination, rational sequences after
