@@ -15,9 +15,10 @@ kind).  They are exchanged by conjugation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
+
+from .plain import Frozen
 
 
 class HookSelector(Enum):
@@ -28,12 +29,14 @@ class HookSelector(Enum):
     TRIVIAL_ARM = "trivial_arm"
 
 
-@dataclass(frozen=True)
-class HookMultiset:
+class HookMultiset(Frozen):
     """Multiset of hook lengths, stored as sorted (value, multiplicity) pairs."""
 
-    selector: HookSelector
-    counts: tuple[tuple[int, int], ...]
+    __slots__ = ("selector", "counts")
+
+    def __init__(self, selector: HookSelector, counts: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "selector", selector)
+        object.__setattr__(self, "counts", counts)
 
 
 class Partition:

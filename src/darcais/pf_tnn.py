@@ -18,30 +18,29 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from . import rootcert
 from .exactnum import ExactPoly
+from .plain import Frozen
 
 
-@dataclass(frozen=True)
-class ToeplitzSeq:
+class ToeplitzSeq(Frozen):
     """A finite nonnegative sequence viewed as an infinite Toeplitz matrix.
 
     Entry (i, j) is entries[i - j], with zero outside the stored range
     (in particular the whole matrix above the main diagonal shifted by
     the sequence is zero, so only windows at or below the diagonal are
-    interesting).
+    interesting).  The entries are stored as a tuple of Fractions.
     """
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Sequence[Fraction | int]):
         converted = tuple(
-            e if isinstance(e, Fraction) else Fraction(e) for e in self.entries
+            e if isinstance(e, Fraction) else Fraction(e) for e in entries
         )
-        object.__setattr__(self, "entries", converted)
         if not converted:
             raise ValueError("a Toeplitz sequence needs at least one entry")
         for k, e in enumerate(converted):
@@ -50,24 +49,22 @@ class ToeplitzSeq:
                     f"entry {k} is negative ({e}); Polya frequency sequences "
                     "are nonnegative by definition"
                 )
+        object.__setattr__(self, "entries", converted)
 
     def attached_poly(self) -> ExactPoly:
         """The generating polynomial sum a_k x^k."""
         return ExactPoly(self.entries)
 
 
-@dataclass(frozen=True)
-class MinorSpec:
-    """Row and column index sets (0-based, strictly increasing, equal size)."""
+class MinorSpec(Frozen):
+    """Row and column index sets (0-based, strictly increasing, equal size),
+    stored as tuples of ints."""
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self) -> None:
-        rows = tuple(int(r) for r in self.rows)
-        cols = tuple(int(c) for c in self.cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+    def __init__(self, rows: Sequence[int], cols: Sequence[int]):
+        rows = tuple(int(r) for r in rows)
+        cols = tuple(int(c) for c in cols)
         if len(rows) != len(cols):
             raise ValueError("minor must be square: row and column counts differ")
         if not rows:
@@ -77,6 +74,8 @@ class MinorSpec:
                 raise ValueError(f"{axis} indices must be nonnegative")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"{axis} indices must be strictly increasing")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     @property
     def order(self) -> int:
@@ -91,12 +90,14 @@ def contiguous_minor_spec(order: int, row_start: int, col_start: int = 0) -> Min
     )
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(Frozen):
     """A specific minor together with its exactly computed determinant."""
 
-    spec: MinorSpec
-    determinant: Fraction
+    __slots__ = ("spec", "determinant")
+
+    def __init__(self, spec: MinorSpec, determinant: Fraction):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "determinant", determinant)
 
     def to_dict(self) -> dict:
         return {
@@ -109,21 +110,31 @@ class MinorWitness:
         }
 
 
-@dataclass(frozen=True)
-class PFVerdict:
+class PFVerdict(Frozen):
     """is_pf           the ASW verdict (attached polynomial real-rooted)
     witness          a negative minor when one was found (not PF only)
     cross_check      the real-rootedness answer used for is_pf
     search_exhausted True when not PF but no negative contiguous minor
                      turned up within the search bounds
     timings          seconds per stage (real_rootedness, minor_search);
-                     not part of equality"""
+                     not part of equality or the hash"""
 
-    is_pf: bool
-    witness: MinorWitness | None
-    cross_check: bool
-    search_exhausted: bool
-    timings: dict[str, float] = field(default_factory=dict, compare=False)
+    __slots__ = ("is_pf", "witness", "cross_check", "search_exhausted", "timings")
+    uncompared = ("timings",)
+
+    def __init__(
+        self,
+        is_pf: bool,
+        witness: MinorWitness | None,
+        cross_check: bool,
+        search_exhausted: bool,
+        timings: dict[str, float] | None = None,
+    ):
+        object.__setattr__(self, "is_pf", is_pf)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "cross_check", cross_check)
+        object.__setattr__(self, "search_exhausted", search_exhausted)
+        object.__setattr__(self, "timings", {} if timings is None else timings)
 
 
 def _det_bareiss(matrix: list[list[int]]) -> int:

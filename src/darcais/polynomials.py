@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .exactnum import ExactPoly, shift_by_one
 from .partitions import HookSelector, enumerate_partitions
+from .plain import Frozen
 from .reports import CertReport
 
 # Feasibility defaults for the partition-sum routes.  The partition counts
@@ -94,29 +94,29 @@ def scaled_coeffs(n: int) -> tuple[int, ...]:
     return _SCALED[n]
 
 
-@dataclass(frozen=True)
-class DArcaisRecord:
+class DArcaisRecord(Frozen):
     """Integer-normalized form of P_n for n >= 1.
 
     numer_coeffs are a_0..a_{n-1} with P_n(x) = (x/n!) * sum a_k x^k.
     All entries are positive and the leading one is 1.
     """
 
-    n: int
-    numer_coeffs: tuple[int, ...]
+    __slots__ = ("n", "numer_coeffs")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, numer_coeffs: tuple[int, ...]):
+        if n < 1:
             raise ValueError("records are defined for n >= 1")
-        if len(self.numer_coeffs) != self.n:
+        if len(numer_coeffs) != n:
             raise ValueError(
-                f"record for n={self.n} needs {self.n} coefficients, "
-                f"got {len(self.numer_coeffs)}"
+                f"record for n={n} needs {n} coefficients, "
+                f"got {len(numer_coeffs)}"
             )
-        if self.numer_coeffs[-1] != 1:
+        if numer_coeffs[-1] != 1:
             raise ValueError("leading normalized coefficient must be 1")
-        if any(c <= 0 for c in self.numer_coeffs):
+        if any(c <= 0 for c in numer_coeffs):
             raise ValueError("normalized coefficients must be positive")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "numer_coeffs", numer_coeffs)
 
 
 def darcais_record(n: int) -> DArcaisRecord:

@@ -9,15 +9,15 @@ the same input are byte-identical except for the timings field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
+
+from .plain import Plain
 
 ARTIFACT_VERSION = "0.1.0"
 REPORT_SCHEMA = "darcais-report/1"
 
 
-@dataclass
-class CertReport:
+class CertReport(Plain):
     """Outcome of one certification task.
 
     kind        one of "identity", "roots", "pf", "shape", "poly"
@@ -30,14 +30,28 @@ class CertReport:
     timings     seconds per stage; excluded from determinism comparisons
     """
 
-    kind: str
-    target: dict[str, Any]
-    verdict: str
-    details: dict[str, Any] = field(default_factory=dict)
-    witnesses: list[dict[str, Any]] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
-    schema: str = REPORT_SCHEMA
-    version: str = ARTIFACT_VERSION
+    __slots__ = ("kind", "target", "verdict", "details", "witnesses", "timings",
+                 "schema", "version")
+
+    def __init__(
+        self,
+        kind: str,
+        target: dict[str, Any],
+        verdict: str,
+        details: dict[str, Any] | None = None,
+        witnesses: list[dict[str, Any]] | None = None,
+        timings: dict[str, float] | None = None,
+        schema: str = REPORT_SCHEMA,
+        version: str = ARTIFACT_VERSION,
+    ):
+        self.kind = kind
+        self.target = target
+        self.verdict = verdict
+        self.details = {} if details is None else details
+        self.witnesses = [] if witnesses is None else witnesses
+        self.timings = {} if timings is None else timings
+        self.schema = schema
+        self.version = version
 
     @property
     def passed(self) -> bool:

@@ -19,8 +19,8 @@ and counts every root once, whatever its multiplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -34,6 +34,7 @@ from .exactnum import (
     primitive_part,
     shift_by_one,
 )
+from .plain import Frozen
 
 
 class RootAtEndpointError(ValueError):
@@ -44,18 +45,19 @@ class RootAtEndpointError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(Frozen):
     """Half-open interval (lower, upper] containing `count` distinct real
     roots; endpoints are never roots themselves."""
 
-    lower: Fraction
-    upper: Fraction
-    count: int
+    __slots__ = ("lower", "upper", "count")
+
+    def __init__(self, lower: Fraction, upper: Fraction, count: int):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "count", count)
 
 
-@dataclass(frozen=True)
-class RouthVerdict:
+class RouthVerdict(Frozen):
     """Outcome of the Routh-Hurwitz test.
 
     stable    every root has strictly negative real part
@@ -64,13 +66,15 @@ class RouthVerdict:
     stage     index of the offending table row when not strictly stable
     """
 
-    stable: bool
-    marginal: bool
-    stage: int | None = None
+    __slots__ = ("stable", "marginal", "stage")
+
+    def __init__(self, stable: bool, marginal: bool, stage: int | None = None):
+        object.__setattr__(self, "stable", stable)
+        object.__setattr__(self, "marginal", marginal)
+        object.__setattr__(self, "stage", stage)
 
 
-@dataclass(frozen=True)
-class SturmChain:
+class SturmChain(Frozen):
     """Sturm chain p0 = p, p1 = p', p_{k+1} = -rem(p_{k-1}, p_k).
 
     No root count in this module uses it.  The tests count with it, as an
@@ -84,7 +88,10 @@ class SturmChain:
     a multiple of gcd(p, p') otherwise.
     """
 
-    coeffs: tuple[tuple[int, ...], ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def build(cls, p: ExactPoly) -> SturmChain:
@@ -206,7 +213,29 @@ def _unit_roots(g: list[int]) -> list[tuple[int, int, list[int] | None]]:
     roots in that interval, g((c + t) / 2^k); q is nonzero at t = 0 and
     t = 1, because every root found at a halving point is divided out of
     both halves.
+
+    The depth is bounded.  The node (c, k) stands for the interval
+    I = (c / 2^k, (c + 1) / 2^k) of width w = 2^-k, and its count V is
+    that of Descartes' rule for g on I, or for g with some roots divided
+    out.  By the one- and two-circle theorems (Obreschkoff; see Krandick
+    and Mehlhorn, J. Symb. Comput. 41, 2006, and Eigenwillig, Sharma and
+    Yap, ISSAC 2006), V = 0 if the disc with diameter I holds no root,
+    and V = 1 if the union of the two discs through both ends of I,
+    centred at its midpoint +- i w / (2 sqrt 3), holds exactly one root,
+    a simple one.  That union contains the first disc and is sqrt 3 w
+    across, so V >= 2 needs two distinct roots of g at most sqrt 3 w
+    apart.  For square-free g of degree d >= 2, with N = sum g_i^2,
+    Mahler's bound (Michigan Math. J. 11, 1964), together with
+    |disc g| >= 1 and Mahler measure at most sqrt N, keeps distinct roots
+    more than sqrt 3 d^(-(d+2)/2) N^((1-d)/2) apart.  So V >= 2 needs
+    2^k < d^((d+2)/2) N^((d-1)/2) < 2^limit, since d < 2^bitlen(d) and
+    N < 2^bitlen(N); for d <= 1, V <= 1 at every node.  A node at depth
+    limit or more with V >= 2 therefore means g is not square free, when
+    the bisection would never end, and it raises AssertionError instead.
     """
+    d = len(g) - 1
+    norm_bits = sum(a * a for a in g).bit_length()
+    limit = (d.bit_length() * (d + 2) + 1) // 2 + (d - 1) * ((norm_bits + 1) // 2)
     found: list[tuple[int, int, list[int] | None]] = []
     todo = [(0, 0, g)]
     while todo:
@@ -217,6 +246,11 @@ def _unit_roots(g: list[int]) -> list[tuple[int, int, list[int] | None]]:
         if v == 1:
             found.append((c, k, q))
             continue
+        if k >= limit:
+            raise AssertionError(
+                f"{v} sign variations at bisection depth {k}, past the "
+                "root separation bound: the polynomial is not square free"
+            )
         d = len(q) - 1
         left = [a << (d - i) for i, a in enumerate(q)]  # 2^d q(t / 2)
         twos = min((a & -a).bit_length() for a in left if a) - 1
@@ -305,14 +339,32 @@ def _real_roots(
     return roots
 
 
-def _square_free_ints(p: ExactPoly) -> list[int]:
+def _square_free_ints(p: ExactPoly) -> tuple[int, ...]:
+    """Primitive integer coefficients of the square-free part of p."""
+    return _square_free(tuple(primitive_int_coeffs(p.coeffs)))
+
+
+@lru_cache(maxsize=1)
+def _square_free(f: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive integer coefficients of a square-free polynomial with the
-    roots of p: p itself when the modular certificate says it is square
-    free, else p / gcd(p, p')."""
-    f = primitive_int_coeffs(p.coeffs)
+    roots of the primitive polynomial f: f itself when the modular
+    certificate says it is square free, else f / gcd(f, f'), made monic
+    before it is scaled back to integers.
+
+    The last answer is kept.  A `roots` job asks about one polynomial in
+    is_square_free, square_free_part, count_real_roots,
+    all_real_roots_negative and isolate_real_roots, and so runs the
+    certificate, and the gcd when the certificate is inconclusive, once.
+    """
     if len(f) <= 2 or _certified_square_free(f):
         return f
-    return primitive_int_coeffs(square_free_part(p).coeffs)
+    p = ExactPoly(f)
+    g = poly_gcd(p, p.derivative())
+    if g.degree() == 0:
+        return f
+    quotient, remainder = poly_divmod(p, g)
+    assert remainder.is_zero
+    return tuple(primitive_int_coeffs(quotient.monic().coeffs))
 
 
 def count_real_roots(
@@ -446,25 +498,14 @@ def is_square_free(p: ExactPoly) -> bool:
     """
     if p.is_zero:
         raise ValueError("square-freeness is undefined for the zero polynomial")
-    if p.degree() <= 1:
-        return True
-    if _certified_square_free(primitive_int_coeffs(p.coeffs)):
-        return True
-    return poly_gcd(p, p.derivative()).degree() == 0
+    return len(_square_free_ints(p)) == p.degree() + 1
 
 
 def square_free_part(p: ExactPoly) -> ExactPoly:
     """p divided by gcd(p, p'): same roots, all simple."""
     if p.is_zero:
         raise ValueError("square-free part is undefined for the zero polynomial")
-    if p.degree() == 0:
-        return p.monic()
-    g = poly_gcd(p, p.derivative())
-    if g.degree() == 0:
-        return p.monic()
-    quotient, remainder = poly_divmod(p, g)
-    assert remainder.is_zero
-    return quotient.monic()
+    return ExactPoly(_square_free_ints(p)).monic()
 
 
 def is_real_rooted(p: ExactPoly) -> bool:

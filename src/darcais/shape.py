@@ -18,11 +18,11 @@ Fraction in its hot loop.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import polynomials
+from .plain import Frozen
 from .reports import CertReport
 
 Number = Fraction | int
@@ -32,8 +32,7 @@ class InternalConsistencyError(AssertionError):
     """The ULC => log-concave => unimodal chain failed; something is broken."""
 
 
-@dataclass(frozen=True)
-class ShapeVerdict:
+class ShapeVerdict(Frozen):
     """Results of the shape predicates on one sequence.
 
     Fields not requested by the particular check stay None.  On failure,
@@ -42,11 +41,22 @@ class ShapeVerdict:
     three-term inequality for the concavity checks.
     """
 
-    unimodal: bool | None = None
-    log_concave: bool | None = None
-    ultra_log_concave: bool | None = None
-    peak_index: int | None = None
-    failure_witness: int | None = None
+    __slots__ = ("unimodal", "log_concave", "ultra_log_concave", "peak_index",
+                 "failure_witness")
+
+    def __init__(
+        self,
+        unimodal: bool | None = None,
+        log_concave: bool | None = None,
+        ultra_log_concave: bool | None = None,
+        peak_index: int | None = None,
+        failure_witness: int | None = None,
+    ):
+        object.__setattr__(self, "unimodal", unimodal)
+        object.__setattr__(self, "log_concave", log_concave)
+        object.__setattr__(self, "ultra_log_concave", ultra_log_concave)
+        object.__setattr__(self, "peak_index", peak_index)
+        object.__setattr__(self, "failure_witness", failure_witness)
 
 
 class _Checked(list):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from darcais import cache as cache_mod
-from darcais import polynomials
+from darcais import polynomials, rootcert
 from darcais.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from darcais.pf_tnn import ToeplitzSeq, pf_test
 from darcais.polynomials import darcais_record
@@ -506,6 +506,45 @@ class TestOneSturmChainPerPolynomial:
         pf_test(ToeplitzSeq((1, 3, 3, 1)))
         pf_test(ToeplitzSeq((1, 1, 1)))
         assert builds == []
+
+
+class TestSquareFreenessOncePerPolynomial:
+    """A roots job asks five questions of one polynomial; the modular
+    certificate, and the gcd when the certificate is inconclusive, run
+    once for all of them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        rootcert._square_free.cache_clear()
+        calls = {"certificate": 0, "gcd": 0}
+        certificate, gcd = rootcert._certified_square_free, rootcert.poly_gcd
+
+        def counted_certificate(f):
+            calls["certificate"] += 1
+            return certificate(f)
+
+        def counted_gcd(a, b):
+            calls["gcd"] += 1
+            return gcd(a, b)
+
+        monkeypatch.setattr(rootcert, "_certified_square_free", counted_certificate)
+        monkeypatch.setattr(rootcert, "poly_gcd", counted_gcd)
+        yield calls
+        rootcert._square_free.cache_clear()
+
+    def test_one_certificate_for_roots_n66(self, capsys, calls):
+        code, out, _ = run(capsys, "roots", "--n", "66", "--hurwitz", "--isolate")
+        assert code == EXIT_OK
+        assert len(parse_lines(out)[0]["details"]["intervals"]) == 43
+        assert calls == {"certificate": 1, "gcd": 0}
+
+    def test_one_gcd_when_the_certificate_is_inconclusive(self, capsys, calls):
+        # (x + 1)^2 (x + 2): a double root, so the certificate cannot decide
+        code, out, _ = run(capsys, "roots", "--poly", "2 5 4 1", "--hurwitz", "--isolate")
+        assert code == EXIT_OK
+        details = parse_lines(out)[0]["details"]
+        assert details["square_free"] is False and details["real_root_count"] == 2
+        assert calls == {"certificate": 1, "gcd": 1}
 
 
 class TestOutputContract:

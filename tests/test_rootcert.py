@@ -1,8 +1,12 @@
 """Tests for real-root counting and isolation, checked against Sturm's
 theorem, and for Routh-Hurwitz certificates."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -509,3 +513,38 @@ def test_dyadic_roots_agree_with_sturm(roots, cofactor):
     assert is_real_rooted(p) == (sturm_count(p) == p.degree() - sturm_tail_degree(p))
     width = Fraction(1, 16)
     check_isolation(p, isolate_real_roots(p, max_width=width), width)
+
+
+class TestBisectionDepth:
+    def test_a_repeated_irrational_root_raises_instead_of_looping(self):
+        # (x^2 - 2)^2 (x + 1) is not square free: every interval around its
+        # double root sqrt 2 keeps two sign variations.  Past the depth the
+        # root separation bound allows, the bisection raises.  It runs in a
+        # subprocess, so a bisection that never ends fails the test on the
+        # timeout instead of stalling the suite.
+        script = (
+            "from darcais import rootcert\n"
+            "try:\n"
+            "    rootcert._real_roots([4, 4, -4, -4, 1, 1])\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(rootcert.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "past the root separation bound" in result.stdout
+
+    @pytest.mark.parametrize("a", [10, 1000, 10**6])
+    def test_close_roots_are_still_separated(self, a):
+        # Mignotte's x^5 - 2 (a x - 1)^2 has two roots within about
+        # 2 a^(-7/2) of 1/a, far closer than its other roots; the depth
+        # limit must not stop the bisection before it splits them
+        p = ExactPoly([0, 0, 0, 0, 0, 1]) - ExactPoly([-1, a]) * ExactPoly([-1, a]) * 2
+        assert count_real_roots(p) == sturm_count(p) == 3
+        intervals = isolate_real_roots(p, max_width=Fraction(1, a**4))
+        check_isolation(p, intervals, Fraction(1, a**4))
+        assert len(intervals) == 3

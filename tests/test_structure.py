@@ -1,6 +1,9 @@
 """Structural rules of the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -207,3 +210,17 @@ def test_partition_routes_share_no_function_with_the_baseline():
         reached = reach(route)
         assert "partitions.enumerate_partitions" in reached  # the walk sees the route's calls
         assert {key for key in reached if is_function(key)} & baseline == set(), route
+
+
+def test_the_cli_imports_no_dataclasses():
+    # every CLI job is a fresh process, and dataclasses with what it
+    # loads was a large part of each one's start-up; the record classes
+    # are written over __slots__ (darcais/plain.py) instead
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    script = f"import darcais.cli, sys; print(*[m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout.split() == []
