@@ -239,6 +239,7 @@ class TestSquareFree:
     def test_without_a_certificate_the_gcd_decides(self, monkeypatch):
         # (x - 1)^2 (x + 2) has a repeated root, so the modular certificate
         # is inconclusive and the exact gcd decides; no Sturm chain is built
+        rootcert._square_free.cache_clear()  # no answer kept from a test before
         monkeypatch.setattr(SturmChain, "build", None)
         gcds = []
         gcd = rootcert.poly_gcd
