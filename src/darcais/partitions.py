@@ -11,14 +11,20 @@ from the left (1-based).  For the cell (i, j) of the diagram of p:
 Besides the full hook multiset, two sub-multisets are exposed: hooks of
 cells with leg 0 (first kind) and hooks of cells with arm 0 (second
 kind).  They are exchanged by conjugation.
+
+The partition-sum routes do not build Partition objects: grow_rows walks
+the partitions of n one row at a time and carries their products, and
+row_hooks gives the hooks a selector keeps in each new row.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .plain import Frozen
+
+State = TypeVar("State")
 
 
 class HookSelector(Enum):
@@ -116,6 +122,58 @@ def _trusted(parts: tuple[int, ...]) -> Partition:
     partition = object.__new__(Partition)
     partition._parts = parts
     return partition
+
+
+def grow_rows(
+    n: int,
+    seed: State,
+    grow: Callable[[State, int, int, list[int]], State],
+    finish: Callable[[State], int],
+) -> int:
+    """Sum of finish(state) over the partitions of n >= 1, each state
+    carried down a depth-first walk that builds the partition one row at a
+    time, bottom-up.
+
+    Every step puts a row of p cells, p >= below (the row it sits on, 0
+    under the bottom row), on top of the rows placed so far and calls
+    grow(state, p, below, legs).  Those rows keep their arms and legs,
+    so grow only has to account for the new row: its cell in column j
+    (0-based) has arm p - 1 - j and leg legs[j], the number of rows
+    already placed that reach column j.  A row of p = rest, the cells
+    still to place, finishes one partition; a shorter one leaves at least
+    p cells for the rows above.  Each node of the walk is thus finished
+    by exactly one such top row, and every partition of n is reached
+    exactly once.  The depth is the number of parts.
+    """
+    legs = [0] * n
+
+    def place(state: State, below: int, rest: int) -> int:
+        total = finish(grow(state, rest, below, legs))
+        for p in range(below or 1, rest // 2 + 1):
+            child = grow(state, p, below, legs)
+            for j in range(p):
+                legs[j] += 1
+            total += place(child, p, rest - p)
+            for j in range(p):
+                legs[j] -= 1
+        return total
+
+    return place(seed, 0, n)
+
+
+def row_hooks(p: int, legs: list[int], selector: HookSelector) -> list[int]:
+    """Hook lengths of the cells the selector keeps in a new top row of p
+    cells, where legs[j] counts the rows below that reach column j.
+
+    As in Partition.hooks, each cell is kept by testing the arm and leg
+    computed for it, not by the closed forms of the trivial selectors.
+    """
+    cells = zip(range(p - 1, -1, -1), legs)
+    if selector is HookSelector.TRIVIAL_LEG:
+        return [arm + leg + 1 for arm, leg in cells if not leg]
+    if selector is HookSelector.TRIVIAL_ARM:
+        return [arm + leg + 1 for arm, leg in cells if not arm]
+    return [arm + leg + 1 for arm, leg in cells]
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

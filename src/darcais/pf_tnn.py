@@ -163,11 +163,25 @@ def _det_bareiss(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _scale_entries(seq: ToeplitzSeq) -> tuple[int, list[int]]:
+    """L > 0, the lcm of the entries' denominators, and the entries times L."""
+    scale = math.lcm(*(e.denominator for e in seq.entries))
+    return scale, [int(e * scale) for e in seq.entries]
+
+
+# the sequence toeplitz_minor scaled last, its L and its entries times L;
+# pf_test asks for many minors of one sequence.  The sequence is matched
+# by identity (hashing its entries costs more than scaling them), and the
+# reference held here keeps its id from being reused by another object.
+_last_scaled: list = [None, 1, []]
+
+
 def toeplitz_minor(seq: ToeplitzSeq, spec: MinorSpec) -> Fraction:
     """Exact determinant of the selected minor, by Bareiss on the entries
     scaled by L > 0, the lcm of their denominators: det = det(L M) / L**order."""
-    scale = math.lcm(*(e.denominator for e in seq.entries))
-    ints = [int(e * scale) for e in seq.entries]
+    if _last_scaled[0] is not seq:
+        _last_scaled[:] = [seq, *_scale_entries(seq)]
+    _, scale, ints = _last_scaled
     size = len(ints)
     matrix = [
         [ints[i - j] if 0 <= i - j < size else 0 for j in spec.cols]

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .exactnum import ExactPoly, shift_by_one
-from .partitions import HookSelector, enumerate_partitions
+from .partitions import HookSelector, grow_rows, row_hooks
 from .plain import Frozen
 from .reports import CertReport
 
@@ -217,6 +217,12 @@ def _hook_sum(n: int, selector: HookSelector, square: bool) -> ExactPoly:
     arithmetic until the final division.  Each partition's prod (z + h^e)
     is one integer, evaluated at z = 2^slot (see _packed_slot); the n + 1
     coefficients of the scaled total are read off once at the end.
+
+    The partitions are grown one row at a time (grow_rows), and each step
+    multiplies the carried product and hook product by the hooks of the
+    new row's kept cells only (row_hooks).  Those are kept by testing the
+    arm and leg computed for each cell, never by the closed forms of the
+    trivial selectors, so they stay independent of the binomial route.
     """
     if n < 1:
         raise ValueError("partition sums are defined for n >= 1")
@@ -224,15 +230,20 @@ def _hook_sum(n: int, selector: HookSelector, square: bool) -> ExactPoly:
     denom = math.factorial(n) ** exp
     slot = _packed_slot(denom, n)
     z = 1 << slot
-    total = 0
-    for part in enumerate_partitions(n):
-        value = 1
-        hook_prod = 1
-        for h, mult in part.hooks(selector).counts:
+
+    def grow(carried: tuple[int, int], p: int, below: int, legs: list[int]):
+        value, hook_prod = carried
+        for h in row_hooks(p, legs, selector):
             he = h**exp
-            value *= (z + he) ** mult
-            hook_prod *= he**mult
-        total += value * _exact_quotient(denom, hook_prod)
+            value *= z + he
+            hook_prod *= he
+        return value, hook_prod
+
+    def finish(carried: tuple[int, int]) -> int:
+        value, hook_prod = carried
+        return value * _exact_quotient(denom, hook_prod)
+
+    total = grow_rows(n, (1, 1), grow, finish)
     return ExactPoly(Fraction(c, denom) for c in _read_slots(total, slot, n + 1))
 
 
@@ -258,28 +269,28 @@ def binomial_sum(n: int) -> ExactPoly:
     sum_lambda prod_j C(k_j + z, k_j), where k_j counts parts equal to j.
 
     Equivalent to the trivial-leg form through the multiplicity encoding
-    of partitions, but dramatically cheaper per partition.
+    of partitions, but dramatically cheaper per partition.  The partitions
+    are grown one row at a time (grow_rows), and each step carries the
+    multiplicity of the top part with the product.
     """
     if n < 1:
         raise ValueError("partition sums are defined for n >= 1")
     denom = math.factorial(n)
     slot = _packed_slot(denom, n)
     z = 1 << slot
-    # rising[k] = (z+1)(z+2)...(z+k) at z = 2^slot
-    rising = [1]
-    for k in range(1, n + 1):
-        rising.append(rising[-1] * (z + k))
-    total = 0
-    for part in enumerate_partitions(n):
-        value = 1
-        fact_prod = 1
-        seen: dict[int, int] = {}
-        for p in part.parts:
-            seen[p] = seen.get(p, 0) + 1
-        for mult in seen.values():
-            value *= rising[mult]
-            fact_prod *= math.factorial(mult)
-        total += value * _exact_quotient(denom, fact_prod)
+
+    def grow(carried: tuple[int, int, int], p: int, below: int, legs: list[int]):
+        # a part equal to the one below raises its multiplicity m to m + 1,
+        # which takes the rising factorial (z+1)...(z+m) one factor further
+        value, fact_prod, mult = carried
+        mult = mult + 1 if p == below else 1
+        return value * (z + mult), fact_prod * mult, mult
+
+    def finish(carried: tuple[int, int, int]) -> int:
+        value, fact_prod, _ = carried
+        return value * _exact_quotient(denom, fact_prod)
+
+    total = grow_rows(n, (1, 1, 0), grow, finish)
     return ExactPoly(Fraction(c, denom) for c in _read_slots(total, slot, n + 1))
 
 

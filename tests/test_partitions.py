@@ -7,7 +7,13 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darcais.partitions import HookSelector, Partition, enumerate_partitions
+from darcais.partitions import (
+    HookSelector,
+    Partition,
+    enumerate_partitions,
+    grow_rows,
+    row_hooks,
+)
 from oracles import (
     cells,
     conjugate,
@@ -203,6 +209,46 @@ def test_hooks_match_cell_reference(selector):
     for n in range(13):
         for p in enumerate_partitions(n):
             assert p.hooks(selector).counts == reference_hooks(p, selector), (p, selector)
+
+
+def walked(n, selector=HookSelector.FULL):
+    """(parts, kept hooks) for every partition the row walk reaches, in
+    the order it reaches them: the rows are carried bottom-up with the
+    hooks row_hooks keeps in each, as the partition-sum routes carry them."""
+    reached = []
+
+    def grow(carried, p, below, legs):
+        rows, kept = carried
+        assert p >= below and (not rows or rows[-1] == below)
+        return rows + (p,), kept + tuple(row_hooks(p, legs, selector))
+
+    def finish(carried):
+        rows, kept = carried
+        reached.append((rows[::-1], kept))
+        return 1
+
+    assert grow_rows(n, ((), ()), grow, finish) == len(reached)
+    return reached
+
+
+class TestRowWalk:
+    def test_each_partition_is_reached_exactly_once(self):
+        for n in range(1, 31):
+            reached = [parts for parts, _ in walked(n)]
+            assert len(reached) == partition_count(n), n
+            assert len(set(reached)) == len(reached), n
+            for parts in reached:
+                assert sum(parts) == n
+                assert Partition(parts).parts == parts  # positive, weakly decreasing
+
+    @pytest.mark.parametrize("selector", list(HookSelector))
+    def test_kept_hooks_match_partition_hooks(self, selector):
+        # a swapped leg/arm test would pass every sum-level check, as both
+        # trivial sums equal Q_n by conjugation; compare partition by partition
+        for n in range(1, 13):
+            for parts, kept in walked(n, selector):
+                counts = tuple(sorted(Counter(kept).items()))
+                assert counts == Partition(parts).hooks(selector).counts, (parts, selector)
 
 
 class TestMultiplicityVector:

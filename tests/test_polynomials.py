@@ -207,6 +207,21 @@ class TestHookRoutes:
         for n in range(1, 21):
             assert binomial_sum(n) == binomial_sum_convolve(n), n
 
+    @pytest.mark.parametrize(
+        "route, oracle, n",
+        [
+            (hook_sum_full, lambda n: hook_sum_convolve(n, HookSelector.FULL, True), 22),
+            (hook_sum_trivial_leg,
+             lambda n: hook_sum_convolve(n, HookSelector.TRIVIAL_LEG, False), 26),
+            (hook_sum_trivial_arm,
+             lambda n: hook_sum_convolve(n, HookSelector.TRIVIAL_ARM, False), 26),
+            (binomial_sum, binomial_sum_convolve, 26),
+        ],
+    )
+    def test_routes_match_expanded_products_at_the_benchmark_sizes(self, route, oracle, n):
+        # the largest n the benchmark's verify jobs run each route at
+        assert route(n) == oracle(n)
+
     def test_read_slots_round_trips_full_slots(self):
         slot = 7
         coeffs = [0, (1 << slot) - 1, 5, (1 << slot) - 1]
