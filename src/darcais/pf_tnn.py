@@ -171,8 +171,8 @@ def _scale_entries(seq: ToeplitzSeq) -> tuple[int, list[int]]:
 
 # the sequence toeplitz_minor scaled last, its L and its entries times L;
 # pf_test asks for many minors of one sequence.  The sequence is matched
-# by identity (hashing its entries costs more than scaling them), and the
-# reference held here keeps its id from being reused by another object.
+# by identity, as a hash of its entries would be paid again on every
+# call, and the reference held here keeps its id from being reused.
 _last_scaled: list = [None, 1, []]
 
 
