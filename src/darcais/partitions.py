@@ -88,7 +88,7 @@ class Partition:
         so the trivial selectors stay independent of the multiplicity
         (binomial) route.
         """
-        parts = self._parts
+        parts = self.parts
         conj = _conjugate_parts(parts)
         keep_leg0 = selector is HookSelector.TRIVIAL_LEG
         keep_arm0 = selector is HookSelector.TRIVIAL_ARM
