@@ -1,26 +1,55 @@
 """D'Arcais polynomials and the hook-length identities attached to them.
 
 The n-th D'Arcais polynomial P_n(x) is the coefficient of q^n in the
-Euler-product power prod_{m>=1} (1 - q^m)^(-x).  It satisfies the
-divisor-sum recursion
+Euler-product power prod_{m>=1} (1 - q^m)^(-x).  The shifted polynomial
+Q_n(z) = P_n(z + 1) is the Nekrasov-Okounkov hook-length average over
+partitions of n.  Both are computed by Euler's pentagonal recurrence.
 
-    P_0 = 1,    P_n(x) = (x / n) * sum_{k=1..n} sigma(k) P_{n-k}(x),
+Euler's pentagonal number theorem expands the product itself,
 
-where sigma is the sum-of-divisors function.  Writing P_n(x) =
-(x / n!) * (a_0 + a_1 x + ... + a_{n-1} x^{n-1}) gives a monic integer
-polynomial with all a_k > 0; that integer form is what gets cached and
-serialized.  The shifted polynomial Q_n(x) = P_n(x + 1) is the
-Nekrasov-Okounkov hook-length average over partitions of n.
+    E(q) = prod_{m>=1} (1 - q^m) = sum_{j>=0} e_j q^j,
+
+with e_j = (-1)^k at the generalized pentagonal numbers j = k(3k - 1)/2
+and j = k(3k + 1)/2 (k >= 0), and e_j = 0 for every other j.  Put
+F(q) = E(q)^(-x) = sum_n P_n(x) q^n.  The logarithmic derivative gives
+q F'/F = -x q E'/E, that is E * qF' = -x F * qE'.  The coefficient of
+q^n on each side is
+
+    sum_j e_j (n - j) P_{n-j}(x) = -x sum_j j e_j P_{n-j}(x),
+
+and the j = 0 term (e_0 = 1) is n P_n(x), so
+
+    n P_n(x) = -sum_{j>=1} e_j ((n - j) + j x) P_{n-j}(x),    P_0 = 1.
+
+Putting x = z + 1 turns (n - j) + j x into n + j z, so
+
+    n Q_n(z) = -sum_{j>=1} e_j (n + j z) Q_{n-j}(z),          Q_0 = 1.
+
+Only about 2 sqrt(2n/3) of the e_j with j <= n are nonzero, so row n
+costs O(sqrt(n)) passes over a row of n + 1 coefficients.
+
+Integrality: write R_n = n! P_n and S_n = n! Q_n.  Multiplying the
+recurrences by (n - 1)! gives
+
+    R_n = -sum_j e_j ((n - j) + j x) * w_{n,j} * R_{n-j},
+    S_n = -sum_j e_j (n + j z) * w_{n,j} * S_{n-j},
+
+where w_{n,j} = (n - 1)!/(n - j)! = (n - 1)(n - 2)...(n - j + 1) is an
+integer.  Since e_j is 0 or +-1, R_n and S_n have integer coefficients
+by induction on n.  Writing P_n(x) = (x / n!) * (a_0 + a_1 x + ... +
+a_{n-1} x^{n-1}) gives a monic integer polynomial with all a_k > 0; that
+integer form is what gets cached and serialized.
 
 This module computes P_n / Q_n by several genuinely different routes:
 
-  * the divisor-sum recursion (fast, the baseline);
+  * the pentagonal recurrence (fast, the baseline);
   * partition sums over full hooks, trivial-leg hooks, trivial-arm
     hooks, and part multiplicities (binomial products).
 
 verify_identity cross-checks any selection of routes against the
-recursion coefficient by coefficient, exactly.  The series oracle the
-recursion itself is checked against lives with the tests.
+recurrence coefficient by coefficient, exactly.  The oracles the
+recurrence itself is checked against, the power series and the
+divisor-sum recursion, live with the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +59,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .exactnum import ExactPoly, shift_by_one
+from .exactnum import ExactPoly
 from .partitions import HookSelector, grow_rows, row_hooks
 from .plain import Frozen
 from .reports import CertReport
@@ -44,46 +73,61 @@ DEFAULT_ROUTE_BOUNDS: dict[str, int] = {
     "binomials": 40,
 }
 
-_SIGMA: list[int] = [0]  # _SIGMA[k] = sigma(k); index 0 unused
 # _SCALED[n] = coefficients of n! * P_n(x), constant term first (all ints).
 _SCALED: list[tuple[int, ...]] = [(1,)]
+# _Q_SCALED[n] = coefficients of n! * Q_n(z), constant term first (all ints).
+_Q_SCALED: list[tuple[int, ...]] = [(1,)]
 
 
-def _ensure_sigma(n: int) -> None:
-    if n < len(_SIGMA):
-        return
-    size = max(n, 2 * (len(_SIGMA) - 1), 16)
-    table = [0] * (size + 1)
-    for d in range(1, size + 1):
-        for m in range(d, size + 1, d):
-            table[m] += d
-    _SIGMA.clear()
-    _SIGMA.extend(table)
-    _SIGMA[0] = 0
+def _pentagonal_terms(n: int) -> list[tuple[int, int]]:
+    """The pairs (j, e_j) with 1 <= j <= n and e_j != 0, j increasing,
+    where prod_{m>=1} (1 - q^m) = sum_j e_j q^j: e_j = (-1)^k at
+    j = k(3k - 1)/2 and at j = k(3k + 1)/2, k >= 1."""
+    terms = []
+    k = 1
+    while (j := k * (3 * k - 1) // 2) <= n:
+        sign = -1 if k % 2 else 1
+        terms.append((j, sign))
+        if j + k <= n:
+            terms.append((j + k, sign))
+        k += 1
+    return terms
+
+
+def _extend_table(table: list[tuple[int, ...]], n: int, shifted: bool) -> None:
+    """Extend table up to index n by the pentagonal recurrence: n! * P_n
+    rows when shifted is false, n! * Q_n rows when it is true.
+
+    With T_m the table's row m, the module docstring's recurrence reads
+        T_m = -sum_j e_j (c_j + j x) * w_{m,j} * T_{m-j},
+    c_j = m - j for P and m for Q.  It is evaluated in Horner form over the
+    pentagonal j, largest first: between consecutive indices j < j', the
+    accumulator is multiplied by w_{m,j'}/w_{m,j} = (m - j)...(m - j' + 1),
+    a product of j' - j small factors, before the j-th term is added.  No
+    factorial-sized weight ever appears.
+    """
+    while len(table) <= n:
+        m = len(table)
+        terms = _pentagonal_terms(m)
+        acc: list[int] = []
+        above = terms[-1][0]
+        for j, sign in reversed(terms):
+            step = math.prod(range(m - above + 1, m - j + 1))
+            above = j
+            row = table[m - j]
+            c = -sign * (m if shifted else m - j)
+            d = -sign * j
+            # one fused pass: step * acc + (c + d x) * row.  That product is
+            # one entry longer than row; acc came from a shorter row, so it
+            # is padded to the same length first
+            acc += [0] * (len(row) + 1 - len(acc))
+            acc = [step * a + c * r + d * q for a, r, q in zip(acc, (*row, 0), (0, *row))]
+        table.append(tuple(acc))
 
 
 def _ensure_scaled(n: int) -> None:
-    """Extend the memoized table of n! * P_n up to index n (all-integer).
-
-    With R_j = j! * P_j, the recursion reads
-        R_m = x * sum_{k=1..m} sigma(k) * (m-1)!/(m-k)! * R_{m-k},
-    evaluated in Horner form: acc <- sigma(k) * R_{m-k} + (m-k) * acc for
-    k = m-1 .. 1, from acc = [sigma(m)].  Every product is then a small
-    int times one table entry, never a factorial-sized weight.
-    """
-    while len(_SCALED) <= n:
-        m = len(_SCALED)
-        _ensure_sigma(m)
-        acc = [_SIGMA[m]]
-        for k in range(m - 1, 0, -1):
-            f = m - k
-            s = _SIGMA[k]
-            prev = _SCALED[f]
-            # one fused pass; prev is one entry longer than acc
-            acc = [f * a + s * c for a, c in zip(acc, prev)]
-            acc.append(s * prev[-1])
-        # multiply by x: n! P_n = x * (accumulated polynomial)
-        _SCALED.append((0, *acc))
+    """Extend the memoized table of n! * P_n up to index n (all-integer)."""
+    _extend_table(_SCALED, n, shifted=False)
 
 
 def scaled_coeffs(n: int) -> tuple[int, ...]:
@@ -127,7 +171,7 @@ def darcais_record(n: int) -> DArcaisRecord:
 
 
 def darcais_poly(n: int) -> ExactPoly:
-    """P_n(x) via the divisor-sum recursion, exact rational coefficients."""
+    """P_n(x) via the pentagonal recurrence, exact rational coefficients."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     fact = math.factorial(n)
@@ -135,8 +179,14 @@ def darcais_poly(n: int) -> ExactPoly:
 
 
 def q_scaled_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients of n! * Q_n(x) where Q_n(x) = P_n(x + 1)."""
-    return tuple(shift_by_one(scaled_coeffs(n)))
+    """Integer coefficients of n! * Q_n(x) where Q_n(x) = P_n(x + 1).
+
+    They come from the Q recurrence directly, with no Taylor shift and
+    without the table of n! * P_n."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    _extend_table(_Q_SCALED, n, shifted=True)
+    return _Q_SCALED[n]
 
 
 def q_poly(n: int) -> ExactPoly:
@@ -312,10 +362,10 @@ def verify_identity(
     bounds: Mapping[str, int] | None = None,
     tamper: Mapping[str, tuple[int, Fraction]] | None = None,
 ) -> CertReport:
-    """Check the requested routes against the recursion, coefficient-exact.
+    """Check the requested routes against the recurrence, coefficient-exact.
 
     Every requested route recomputes Q_n independently and is compared to
-    the recursion baseline term by term.  A route whose feasibility bound
+    the recurrence baseline (named "recursion" in the report) term by term.  A route whose feasibility bound
     is below n is reported as skipped (with the bound), never silently
     dropped.  The report's verdict is "pass" only if no computed route
     disagrees.

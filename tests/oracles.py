@@ -5,13 +5,14 @@ way: generalized binomials, the finite-product specialization P_n(-m),
 the power-series expansion of the Euler product, part multiplicities,
 p(n) by the pentagonal recurrence, diagram cells one at a time,
 standard Young tableau counts from the hook length formula, and
-Toeplitz matrix entries.  It also keeps the plain, direct forms of five
-fast package kernels (the divisor-sum recursion, the Taylor shift, the
-ultra-log-concavity test, and the hook and binomial partition sums with
-their coefficient lists expanded), so each kernel can be checked
-against its textbook statement, plus exact division by claimed factors,
-and Sturm's theorem as the root count the Descartes bisection of
-rootcert is checked against.
+Toeplitz matrix entries.  The divisor-sum recursion is a second
+recurrence for n! * P_n, independent of the package's pentagonal one.
+It also keeps the plain, direct forms of four fast package kernels (the
+Taylor shift, the ultra-log-concavity test, and the hook and binomial
+partition sums with their coefficient lists expanded), so each kernel
+can be checked against its textbook statement, plus exact division by
+claimed factors, and Sturm's theorem as the root count the Descartes
+bisection of rootcert is checked against.
 """
 
 import math
@@ -122,14 +123,26 @@ def is_integral(seq: ToeplitzSeq) -> bool:
     return all(e.denominator == 1 for e in seq.entries)
 
 
+def sigma_table(n: int) -> list[int]:
+    """[0, sigma(1), ..., sigma(n)], the sums of divisors, by a sieve that
+    adds each d to every multiple of it."""
+    table = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            table[m] += d
+    return table
+
+
 def scaled_coeffs_direct(n: int) -> list[tuple[int, ...]]:
     """n! * P_n for 0..n by the divisor-sum recursion as written,
 
         m! P_m = x * sum_{k=1..m} sigma(k) * (m-1)!/(m-k)! * (m-k)! P_{m-k},
 
-    one factorial-sized weight per term, no Horner nesting.  sigma is
-    summed over divisors by trial division."""
-    sigma = [0] + [sum(d for d in range(1, k + 1) if k % d == 0) for k in range(1, n + 1)]
+    one factorial-sized weight per term, no Horner nesting.  It comes from
+    q F'/F = x * sum_k sigma(k) q^k for F = prod (1 - q^k)^(-x); the
+    package's pentagonal recurrence writes the same logarithmic
+    derivative through prod (1 - q^k) instead."""
+    sigma = sigma_table(n)
     table: list[tuple[int, ...]] = [(1,)]
     for m in range(1, n + 1):
         acc = [0] * m

@@ -363,6 +363,32 @@ class TestShape:
         assert code == EXIT_OK
         assert out.splitlines() == ["n,unimodal,log_concave,ultra_log_concave,peak_index"]
 
+    def test_cold_run_neither_extends_p_nor_shifts(self, capsys, monkeypatch):
+        # the rows come from the Q recurrence: no table of n! P_n is built
+        # and no Taylor shift runs, even with the Q memo empty
+        monkeypatch.setattr(polynomials, "_Q_SCALED", [(1,)])
+        calls = []
+
+        def spy(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(
+            polynomials, "_ensure_scaled", spy("_ensure_scaled", polynomials._ensure_scaled)
+        )
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("darcais") and hasattr(module, "shift_by_one"):
+                monkeypatch.setattr(
+                    module, "shift_by_one", spy("shift_by_one", module.shift_by_one)
+                )
+        code, out, _ = run(capsys, "shape", "--max-n", "40")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 41
+        assert len(polynomials._Q_SCALED) == 41
+        assert calls == []
+
 
 class TestCache:
     def test_poly_writes_and_reuses_cache(self, capsys, tmp_path):
@@ -404,6 +430,34 @@ class TestCache:
         code, _, err = run(capsys, "poly", "--n", "2", "--cache", str(path))
         assert code == EXIT_USAGE
         assert "disagrees" in err
+
+    def test_shape_with_a_cache_prints_the_cold_table(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "records.cache"
+        cache_mod.write_cache(path, 60)
+
+        def shape(*cache):
+            # both memos start empty, as in a fresh process
+            monkeypatch.setattr(polynomials, "_SCALED", [(1,)])
+            monkeypatch.setattr(polynomials, "_Q_SCALED", [(1,)])
+            code, out, _ = run(capsys, "shape", "--max-n", "60", *cache)
+            assert code == EXIT_OK
+            return out
+
+        cold = shape()
+        assert shape("--cache", str(path)) == cold
+        assert len(polynomials._SCALED) == 61  # the records were read and loaded
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [("1: 1\n2: 0 1\n", "non-positive"), ("1: 1\n3: 8 9 1\n", "out of order")],
+    )
+    def test_shape_rejects_a_corrupt_cache(self, capsys, tmp_path, records, message):
+        path = tmp_path / "bad.cache"
+        path.write_text(f"{cache_mod.CACHE_HEADER}\n{records}")
+        code, out, err = run(capsys, "shape", "--max-n", "3", "--cache", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"{path}:3" in err and message in err
 
     def test_environment_cache_is_created_and_used(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "env.cache"

@@ -37,6 +37,8 @@ from oracles import (
     record_poly,
     scaled_coeffs_direct,
     shift,
+    shift_by_one_loop,
+    sigma_table,
 )
 
 # the degree-8 cofactor of the n = 10 polynomial: normalized numerator
@@ -47,9 +49,8 @@ PENTAGONAL = {k * (3 * k - 1) // 2 for k in range(-20, 21)}
 
 
 def sigma(n):
-    """sigma(n) from the divisor-sum table the recursion reads."""
-    polynomials._ensure_sigma(n)
-    return polynomials._SIGMA[n]
+    """sigma(n) from the divisor-sum table the recursion oracle reads."""
+    return sigma_table(n)[n]
 
 
 class TestSigma:
@@ -123,6 +124,24 @@ class TestRecursion:
         # the memoized table uses the Horner-nested form of the recursion
         for m, direct in enumerate(scaled_coeffs_direct(150)):
             assert scaled_coeffs(m) == direct, m
+
+    def test_q_memo_matches_shifted_direct_sum(self):
+        # the Q table comes from its own recurrence, never from a Taylor
+        # shift of the P table; the divisor-sum rows shifted one addition
+        # at a time must agree with it
+        for m, direct in enumerate(scaled_coeffs_direct(150)):
+            assert q_scaled_coeffs(m) == tuple(shift_by_one_loop(direct)), m
+
+    def test_pentagonal_terms_expand_the_euler_product(self):
+        # prod_{m<=200} (1 - q^m), truncated past q^200, multiplied out
+        size = 200
+        product = [1] + [0] * size
+        for m in range(1, size + 1):
+            for i in range(size, m - 1, -1):
+                product[i] -= product[i - m]
+        expected = [(j, e) for j, e in enumerate(product) if j and e]
+        assert polynomials._pentagonal_terms(size) == expected
+        assert polynomials._pentagonal_terms(0) == []
 
 
 class TestSeriesOracle:

@@ -158,11 +158,11 @@ def test_allowed_entries_exist_and_stay_few():
 
 
 def test_series_oracle_references_no_package_code_but_exact_poly():
-    # euler_series_poly (tests/oracles.py) is the oracle the divisor-sum
-    # recursion is checked against; sharing any package code but the
+    # euler_series_poly (tests/oracles.py) is the oracle the pentagonal
+    # recurrence is checked against; sharing any package code but the
     # ExactPoly container would let one bug pass both
     reach, _, _ = _package_reach()
-    assert "polynomials._ensure_sigma" in reach("polynomials._ensure_scaled")
+    assert "polynomials._extend_table" in reach("polynomials._ensure_scaled")
     tree = ast.parse(ORACLES.read_text(encoding="utf-8"), filename=str(ORACLES))
     imported = {
         alias.asname or alias.name
@@ -202,11 +202,9 @@ def test_partition_routes_share_no_function_with_the_baseline():
     # Both build an ExactPoly at the end, so only functions count.
     reach, is_function, _ = _package_reach(into_classes=False)
     baseline = {key for key in reach("polynomials.q_poly") if is_function(key)}
-    assert {
-        "polynomials.q_scaled_coeffs",
-        "exactnum.shift_by_one",
-        "polynomials._ensure_scaled",
-    } <= baseline
+    assert {"polynomials.q_scaled_coeffs", "polynomials._extend_table"} <= baseline
+    # Q_n comes from its own recurrence, with no Taylor shift of P_n
+    assert "exactnum.shift_by_one" not in reach("polynomials.q_scaled_coeffs")
     for route in ("polynomials._hook_sum", "polynomials.binomial_sum"):
         reached = reach(route)
         assert "partitions.grow_rows" in reached  # the walk sees the route's calls
