@@ -378,8 +378,8 @@ class TestShape:
         monkeypatch.setattr(
             polynomials, "_ensure_scaled", spy("_ensure_scaled", polynomials._ensure_scaled)
         )
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("darcais") and hasattr(module, "shift_by_one"):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("darcais") and hasattr(module, "shift_by_one"):
                 monkeypatch.setattr(
                     module, "shift_by_one", spy("shift_by_one", module.shift_by_one)
                 )
