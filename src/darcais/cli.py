@@ -28,7 +28,7 @@ from typing import Sequence
 from . import cache as cache_mod
 from . import pf_tnn, polynomials, rootcert, shape
 from .cache import CacheError
-from .exactnum import ExactPoly, poly_divmod
+from .exactnum import ExactPoly, poly_divmod, primitive_int_coeffs
 from .reports import ARTIFACT_VERSION, CertReport
 
 EXIT_OK = 0
@@ -203,16 +203,16 @@ def cmd_roots(args: argparse.Namespace) -> int:
         if args.n < 1:
             raise UsageError("--n must be at least 1")
         _maybe_load_cache(args)
-        record = polynomials.darcais_record(args.n)
-        poly = ExactPoly(record.numer_coeffs)
+        coeffs = polynomials.darcais_record(args.n).numer_coeffs
         target: dict = {"n": args.n, "polynomial": "normalized P_n numerator / x"}
     else:
         poly = _parse_poly_argument(args.poly)
         if poly.is_zero:
             raise UsageError("the zero polynomial has no root certificate")
+        coeffs = tuple(primitive_int_coeffs(poly.coeffs))
         target = {"coeffs": poly.to_text()}
 
-    details: dict = {"degree": poly.degree()}
+    details: dict = {"degree": len(coeffs) - 1}
     witnesses: list[dict] = []
     verdict = "pass"
     timings: dict[str, float] = {}
@@ -220,22 +220,22 @@ def cmd_roots(args: argparse.Namespace) -> int:
     # deg p - t distinct roots, t = deg gcd(p, p'), which is 0 when p is
     # square free; the root counts run on the square-free part
     start = time.perf_counter()
-    square_free = rootcert.is_square_free(poly)
-    distinct = (poly if square_free else rootcert.square_free_part(poly)).degree()
+    square_free = rootcert.is_square_free(coeffs)
+    distinct = len(rootcert.square_free_part(coeffs)) - 1
     details["square_free"] = square_free
     timings["square_free"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    real_count = rootcert.count_real_roots(poly)
+    real_count = rootcert.count_real_roots(coeffs)
     details["real_root_count"] = real_count
     details["nonreal_pair_count"] = (distinct - real_count) // 2
-    details["all_real_roots_negative"] = rootcert.all_real_roots_negative(poly)
+    details["all_real_roots_negative"] = rootcert.all_real_roots_negative(coeffs)
     timings["count"] = time.perf_counter() - start
 
-    if args.sturm or args.isolate:
+    if args.isolate:
         width = Fraction(args.max_width)
         start = time.perf_counter()
-        intervals = rootcert.isolate_real_roots(poly, max_width=width)
+        intervals = rootcert.isolate_real_roots(coeffs, max_width=width)
         timings["isolate"] = time.perf_counter() - start
         details["intervals"] = [
             {"lower": str(iv.lower), "upper": str(iv.upper), "count": iv.count}
@@ -252,12 +252,12 @@ def cmd_roots(args: argparse.Namespace) -> int:
             )
 
     if args.hurwitz:
-        if poly.coefficient(0) == 0:
+        if coeffs[0] == 0:
             raise UsageError(
                 "polynomial has a root at the origin; divide it out before --hurwitz"
             )
         start = time.perf_counter()
-        routh = rootcert.hurwitz_stable(poly)
+        routh = rootcert.hurwitz_stable(coeffs)
         timings["routh"] = time.perf_counter() - start
         details["hurwitz"] = {
             "stable": routh.stable,
@@ -291,9 +291,7 @@ def cmd_pf(args: argparse.Namespace) -> int:
         if args.n < 1:
             raise UsageError("--n must be at least 1")
         _maybe_load_cache(args)
-        values: list[Fraction] = [
-            Fraction(c) for c in polynomials.darcais_record(args.n).numer_coeffs
-        ]
+        values = polynomials.darcais_record(args.n).numer_coeffs
         target: dict = {"n": args.n}
     else:
         text = args.coeffs
@@ -479,9 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--poly", help="polynomial coefficients (inline tokens or a file path)"
     )
-    p.add_argument("--sturm", action="store_true", help="isolate the real roots")
     p.add_argument(
-        "--isolate", action="store_true", help="synonym of --sturm (honors --max-width)"
+        "--isolate", "--sturm", dest="isolate", action="store_true",
+        help="isolate the real roots (honors --max-width)",
     )
     p.add_argument(
         "--max-width", default="1",
@@ -519,11 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_shape)
 
+    # verify and shape take their Q_n rows from the Q recurrence, so the
+    # P records buy them nothing but the validation of the file
+    validate = "to validate only (the Q_n rows come from their own recurrence)"
+    cache_use = {"poly": "to reuse and extend", "verify": validate, "shape": validate}
     for name, p in sub.choices.items():
-        extend = " and extend" if name == "poly" else ""
         p.add_argument(
             "--cache", type=_cache_path,
-            help=f"normalized-record cache file to reuse{extend}",
+            help=f"normalized-record cache file {cache_use.get(name, 'to reuse')}",
         )
     return parser
 

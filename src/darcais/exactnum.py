@@ -8,7 +8,8 @@ of ``Fraction`` coefficients indexed by power (constant term first).
 The polynomial type deliberately has no floating-point escape hatch: every
 operation that could lose exactness raises instead.  It is built on a small
 kernel of functions on plain coefficient lists (products, the shift by one,
-primitive parts, pseudo-remainders) that the rest of the package shares.
+primitive parts, pseudo-remainders, the integer gcd) that the rest of the
+package shares.
 """
 
 from __future__ import annotations
@@ -101,13 +102,29 @@ def prem_signed(f: list[int], g: list[int]) -> list[int]:
     return r
 
 
+def poly_gcd(f: list[int], g: list[int]) -> list[int]:
+    """gcd of two integer polynomials, constant term first and without
+    trailing zeros, by a primitive pseudo-remainder sequence (exact): a
+    primitive integer list with a positive leading coefficient.
+
+    gcd(f, []) is f made primitive; gcd([], []) is undefined and raises.
+    """
+    if not f and not g:
+        raise ValueError("gcd(0, 0) is undefined")
+    if len(f) < len(g):
+        f, g = g, f
+    f, g = primitive_part(f), primitive_part(g)
+    while g:
+        f, g = g, primitive_part(prem_signed(f, g))
+    return f if f[-1] > 0 else [-c for c in f]
+
+
 class ExactPoly:
     """A dense univariate polynomial with exact rational coefficients.
 
     Coefficients are stored from the constant term upward, with trailing
     zeros stripped, so equal polynomials always have equal tuples.  The
-    zero polynomial is the empty tuple and reports ``degree() is None``
-    rather than any numeric sentinel.
+    zero polynomial is the empty tuple.
     """
 
     __slots__ = ("_coeffs",)
@@ -124,10 +141,6 @@ class ExactPoly:
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficient tuple, constant term first, no trailing zeros."""
         return self._coeffs
-
-    def degree(self) -> int | None:
-        """Degree of the polynomial, or None for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else None
 
     @property
     def is_zero(self) -> bool:
@@ -196,17 +209,6 @@ class ExactPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> ExactPoly:
-        return ExactPoly(k * c for k, c in enumerate(self._coeffs) if k)
-
-    def monic(self) -> ExactPoly:
-        if not self._coeffs:
-            raise ValueError("the zero polynomial cannot be made monic")
-        lead = self._coeffs[-1]
-        if lead == 1:
-            return self
-        return ExactPoly(c / lead for c in self._coeffs)
-
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
@@ -255,25 +257,4 @@ def poly_divmod(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
             for i, d in enumerate(div):
                 rem[k + i] -= c * d
     return ExactPoly(quot), ExactPoly(rem[: len(div) - 1])
-
-
-def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Monic gcd via a primitive pseudo-remainder sequence (exact).
-
-    gcd(p, 0) = monic(p); gcd(0, 0) is undefined and raises.
-    """
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    f = primitive_int_coeffs(a.coeffs)
-    g = primitive_int_coeffs(b.coeffs)
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        r = primitive_part(prem_signed(f, g))
-        f, g = g, r
-    return ExactPoly(f).monic()
 

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import rootcert
-from .exactnum import ExactPoly
 from .plain import Frozen
 
 
@@ -32,10 +31,13 @@ class ToeplitzSeq(Frozen):
     Entry (i, j) is entries[i - j], with zero outside the stored range
     (in particular the whole matrix above the main diagonal shifted by
     the sequence is zero, so only windows at or below the diagonal are
-    interesting).  The entries are stored as a tuple of Fractions.
+    interesting).  The entries are stored as a tuple of Fractions, and
+    once more as `ints`, the entries times `scale`, the lcm of their
+    denominators: minors and the root count run on those.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "scale", "ints")
+    derived = ("scale", "ints")
 
     def __init__(self, entries: Sequence[Fraction | int]):
         converted = tuple(
@@ -49,11 +51,10 @@ class ToeplitzSeq(Frozen):
                     f"entry {k} is negative ({e}); Polya frequency sequences "
                     "are nonnegative by definition"
                 )
+        scale = math.lcm(*(e.denominator for e in converted))
         object.__setattr__(self, "entries", converted)
-
-    def attached_poly(self) -> ExactPoly:
-        """The generating polynomial sum a_k x^k."""
-        return ExactPoly(self.entries)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ints", tuple(int(e * scale) for e in converted))
 
 
 class MinorSpec(Frozen):
@@ -163,31 +164,16 @@ def _det_bareiss(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _scale_entries(seq: ToeplitzSeq) -> tuple[int, list[int]]:
-    """L > 0, the lcm of the entries' denominators, and the entries times L."""
-    scale = math.lcm(*(e.denominator for e in seq.entries))
-    return scale, [int(e * scale) for e in seq.entries]
-
-
-# the sequence toeplitz_minor scaled last, its L and its entries times L;
-# pf_test asks for many minors of one sequence.  The sequence is matched
-# by identity, as a hash of its entries would be paid again on every
-# call, and the reference held here keeps its id from being reused.
-_last_scaled: list = [None, 1, []]
-
-
 def toeplitz_minor(seq: ToeplitzSeq, spec: MinorSpec) -> Fraction:
     """Exact determinant of the selected minor, by Bareiss on the entries
-    scaled by L > 0, the lcm of their denominators: det = det(L M) / L**order."""
-    if _last_scaled[0] is not seq:
-        _last_scaled[:] = [seq, *_scale_entries(seq)]
-    _, scale, ints = _last_scaled
+    scaled by L = seq.scale: det = det(L M) / L**order."""
+    ints = seq.ints
     size = len(ints)
     matrix = [
         [ints[i - j] if 0 <= i - j < size else 0 for j in spec.cols]
         for i in spec.rows
     ]
-    return Fraction(_det_bareiss(matrix), scale**spec.order)
+    return Fraction(_det_bareiss(matrix), seq.scale**spec.order)
 
 
 def pf_test(seq: ToeplitzSeq, max_order: int = 32, max_shift: int = 8) -> PFVerdict:
@@ -205,13 +191,12 @@ def pf_test(seq: ToeplitzSeq, max_order: int = 32, max_shift: int = 8) -> PFVerd
     """
     if max_order < 1 or max_shift < 0:
         raise ValueError("max_order must be >= 1 and max_shift >= 0")
-    poly = seq.attached_poly()
     timings: dict[str, float] = {}
     # the all-zero sequence has every minor equal to zero, hence PF
     real_rooted = True
-    if not poly.is_zero:
+    if any(seq.ints):
         start = time.perf_counter()
-        real_rooted = rootcert.is_real_rooted(poly)
+        real_rooted = rootcert.is_real_rooted(seq.ints)
         timings["real_rootedness"] = time.perf_counter() - start
     if real_rooted:
         return PFVerdict(

@@ -17,7 +17,10 @@ The bases then add, over those fields:
   or deletion of any attribute after __init__ (AttributeError).
 
 Fields named in a class's `uncompared` take no part in equality and
-hashing, as with dataclasses.field(compare=False).
+hashing, as with dataclasses.field(compare=False).  Fields named in its
+`derived` are set by __init__ from the others, as with
+dataclasses.field(init=False, repr=False, compare=False): they take no
+part in equality, hashing or the repr, and a copy recomputes them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ class Plain:
     __slots__ = ()
     __hash__ = None
     uncompared: tuple[str, ...] = ()
+    derived: tuple[str, ...] = ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -36,11 +40,11 @@ class Plain:
         return _compared(self) == _compared(other)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _fields(self))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, tuple(getattr(self, name) for name in _fields(self))
 
 
 class Frozen(Plain):
@@ -62,7 +66,12 @@ class Frozen(Plain):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _fields(record: Plain) -> list[str]:
+    """The record's constructor fields, in order."""
+    return [name for name in record.__slots__ if name not in record.derived]
+
+
 def _compared(record: Plain) -> tuple:
     """The values of the record's fields that equality and hashing use."""
     skip = record.uncompared
-    return tuple(getattr(record, name) for name in record.__slots__ if name not in skip)
+    return tuple(getattr(record, name) for name in _fields(record) if name not in skip)

@@ -64,13 +64,15 @@ from .partitions import HookSelector, grow_rows, row_hooks
 from .plain import Frozen
 from .reports import CertReport
 
-# Feasibility defaults for the partition-sum routes.  The partition counts
-# explode; these keep a full verification run at desk scale.
+# Feasibility defaults for the partition-sum routes, from one budget: each
+# bound is the largest n at which the route takes at most about 1 s (best
+# of 3, a two-vCPU host with Python 3.11.7; the next n took 1.0-1.5 s).
+# The partition counts explode, so a run over 1..bound takes a few seconds.
 DEFAULT_ROUTE_BOUNDS: dict[str, int] = {
-    "full_hooks": 18,
-    "trivial_legs": 25,
-    "trivial_arms": 25,
-    "binomials": 40,
+    "full_hooks": 33,
+    "trivial_legs": 41,
+    "trivial_arms": 43,
+    "binomials": 46,
 }
 
 # _SCALED[n] = coefficients of n! * P_n(x), constant term first (all ints).

@@ -27,7 +27,6 @@ from typing import Sequence
 from .exactnum import (
     ExactPoly,
     Scalar,
-    poly_divmod,
     poly_gcd,
     prem_signed,
     primitive_int_coeffs,
@@ -339,17 +338,25 @@ def _real_roots(
     return roots
 
 
-def _square_free_ints(p: ExactPoly) -> tuple[int, ...]:
-    """Primitive integer coefficients of the square-free part of p."""
-    return _square_free(tuple(primitive_int_coeffs(p.coeffs)))
+def _primitive(p: Sequence[Scalar]) -> tuple[int, ...]:
+    """p's coefficients, constant term first, scaled by a positive
+    rational to primitive integers, trailing zeros stripped.  Raises
+    ValueError for the zero polynomial, which has no root data."""
+    f = primitive_int_coeffs(p)
+    while f and not f[-1]:
+        f.pop()
+    if not f:
+        raise ValueError("the zero polynomial has no root data")
+    return tuple(f)
 
 
 @lru_cache(maxsize=1)
 def _square_free(f: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive integer coefficients of a square-free polynomial with the
-    roots of the primitive polynomial f: f itself when the modular
-    certificate says it is square free, else f / gcd(f, f'), made monic
-    before it is scaled back to integers.
+    roots of the primitive polynomial f and the sign of its leading
+    coefficient: f itself when the modular certificate says it is square
+    free, else f / gcd(f, f').  The gcd is primitive, so by Gauss's lemma
+    the quotient has integer coefficients and is primitive too.
 
     The last answer is kept.  A `roots` job asks about one polynomial in
     is_square_free, square_free_part, count_real_roots,
@@ -358,17 +365,21 @@ def _square_free(f: tuple[int, ...]) -> tuple[int, ...]:
     """
     if len(f) <= 2 or _certified_square_free(f):
         return f
-    p = ExactPoly(f)
-    g = poly_gcd(p, p.derivative())
-    if g.degree() == 0:
+    g = poly_gcd(list(f), [k * c for k, c in enumerate(f)][1:])
+    if len(g) == 1:
         return f
-    quotient, remainder = poly_divmod(p, g)
-    assert remainder.is_zero
-    return tuple(primitive_int_coeffs(quotient.monic().coeffs))
+    quotient = [0] * (len(f) - len(g) + 1)
+    rest = list(f)
+    for k in reversed(range(len(quotient))):
+        c = quotient[k] = rest[k + len(g) - 1] // g[-1]
+        for i, a in enumerate(g):
+            rest[k + i] -= c * a
+    assert not any(rest), "gcd(f, f') does not divide f"
+    return tuple(quotient)
 
 
 def count_real_roots(
-    p: ExactPoly, lower: Scalar | None = None, upper: Scalar | None = None
+    p: Sequence[Scalar], lower: Scalar | None = None, upper: Scalar | None = None
 ) -> int:
     """Distinct real roots of p in (lower, upper]; None means unbounded.
 
@@ -377,13 +388,11 @@ def count_real_roots(
     straddles an endpoint is located by halving that interval until it
     does not.
     """
-    if p.is_zero:
-        raise ValueError("root counting requires a nonzero polynomial")
+    f = _square_free(_primitive(p))
     lower = None if lower is None else Fraction(lower)
     upper = None if upper is None else Fraction(upper)
     if lower is not None and upper is not None and lower >= upper:
         raise ValueError("interval must satisfy lower < upper")
-    f = _square_free_ints(p)
     for endpoint in (lower, upper):
         if endpoint is not None and _sign_at(f, endpoint) == 0:
             raise RootAtEndpointError(
@@ -405,7 +414,7 @@ def count_real_roots(
     return count
 
 
-def isolate_real_roots(p: ExactPoly, max_width: Scalar = 1) -> list[RootInterval]:
+def isolate_real_roots(p: Sequence[Scalar], max_width: Scalar = 1) -> list[RootInterval]:
     """Disjoint rational intervals, each holding exactly one distinct real
     root of p, every interval no wider than max_width, sorted by position.
 
@@ -416,13 +425,12 @@ def isolate_real_roots(p: ExactPoly, max_width: Scalar = 1) -> list[RootInterval
     (r - h, r + h], the widest with 2h <= max_width that reaches at most
     halfway to the next interval on either side.
     """
-    if p.is_zero:
-        raise ValueError("root isolation requires a nonzero polynomial")
+    f = _square_free(_primitive(p))
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
     roots = sorted(
-        _real_roots(_square_free_ints(p)),
+        _real_roots(f),
         key=lambda root: (root.bounds()[0], root.exact is None),
     )
     exact = {root.exact for root in roots if root.exact is not None}
@@ -490,48 +498,44 @@ def _certified_square_free(f: Sequence[int]) -> bool:
     return False
 
 
-def is_square_free(p: ExactPoly) -> bool:
+def is_square_free(p: Sequence[Scalar]) -> bool:
     """Whether gcd(p, p') is constant, i.e. p has no repeated roots.
 
     The modular certificate decides when it is conclusive; otherwise the
     exact gcd does.
     """
-    if p.is_zero:
-        raise ValueError("square-freeness is undefined for the zero polynomial")
-    return len(_square_free_ints(p)) == p.degree() + 1
+    f = _primitive(p)
+    return len(_square_free(f)) == len(f)
 
 
-def square_free_part(p: ExactPoly) -> ExactPoly:
-    """p divided by gcd(p, p'): same roots, all simple."""
-    if p.is_zero:
-        raise ValueError("square-free part is undefined for the zero polynomial")
-    return ExactPoly(_square_free_ints(p)).monic()
+def square_free_part(p: Sequence[Scalar]) -> tuple[int, ...]:
+    """p divided by gcd(p, p'): same roots, all simple, as primitive
+    integer coefficients, constant term first, with the sign of p's
+    leading coefficient."""
+    return _square_free(_primitive(p))
 
 
-def is_real_rooted(p: ExactPoly) -> bool:
+def is_real_rooted(p: Sequence[Scalar]) -> bool:
     """Whether every complex root of p is real (counted without
     multiplicity, which loses nothing): p has as many distinct real roots
     as its square-free part has degree."""
-    if p.is_zero:
-        raise ValueError("real-rootedness is undefined for the zero polynomial")
-    f = _square_free_ints(p)
+    f = _square_free(_primitive(p))
     return len(_real_roots(f)) == len(f) - 1
 
 
-def all_real_roots_negative(p: ExactPoly) -> bool:
+def all_real_roots_negative(p: Sequence[Scalar]) -> bool:
     """True iff p has no real root in [0, +infinity).
 
     Complex roots are not constrained; combine with is_real_rooted when
     full negativity of the spectrum is the question.
     """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no root data")
-    if p.coefficient(0) == 0:
+    f = _primitive(p)
+    if f[0] == 0:
         return False
-    return count_real_roots(p, lower=0, upper=None) == 0
+    return count_real_roots(f, lower=0, upper=None) == 0
 
 
-def hurwitz_stable(p: ExactPoly) -> RouthVerdict:
+def hurwitz_stable(p: Sequence[Scalar]) -> RouthVerdict:
     """Routh-Hurwitz test: do all roots lie in the open left half-plane?
 
     Runs the classic first-column test on a fraction-free Routh table:
@@ -544,18 +548,15 @@ def hurwitz_stable(p: ExactPoly) -> RouthVerdict:
     trivial root at zero first (a root at the origin is never in the open
     left half-plane anyway).
     """
-    if p.is_zero:
-        raise ValueError("stability is undefined for the zero polynomial")
-    if p.coefficient(0) == 0:
+    f = _primitive(p)
+    if f[0] == 0:
         raise ValueError(
             "zero constant term: factor out the root at the origin before "
             "running the stability test"
         )
-    deg = p.degree()
-    if deg == 0:
+    if len(f) == 1:
         return RouthVerdict(stable=True, marginal=False, stage=None)
-    ints = primitive_int_coeffs(p.coeffs)
-    desc = list(reversed(ints))
+    desc = list(reversed(f))
     if desc[0] < 0:
         desc = [-c for c in desc]
     rows: list[list[int]] = [desc[0::2], desc[1::2]]

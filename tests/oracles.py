@@ -11,8 +11,8 @@ It also keeps the plain, direct forms of four fast package kernels (the
 Taylor shift, the ultra-log-concavity test, and the hook and binomial
 partition sums with their coefficient lists expanded), so each kernel
 can be checked against its textbook statement, plus exact division by
-claimed factors, and Sturm's theorem as the root count the Descartes
-bisection of rootcert is checked against.
+claimed factors, the derivative, and Sturm's theorem as the root count
+the Descartes bisection of rootcert is checked against.
 """
 
 import math
@@ -268,6 +268,11 @@ def shift(p: ExactPoly, c) -> ExactPoly:
     powers = [c**k for k in range(len(p.coeffs))]
     shifted = shift_by_one_loop(a * w for a, w in zip(p.coeffs, powers))
     return ExactPoly(s / w for s, w in zip(shifted, powers))
+
+
+def derivative(p: ExactPoly) -> ExactPoly:
+    """p'(x), term by term."""
+    return ExactPoly(k * c for k, c in enumerate(p.coeffs) if k)
 
 
 def record_poly(record) -> ExactPoly:

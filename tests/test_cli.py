@@ -85,15 +85,15 @@ class TestVerify:
         assert all(r["verdict"] == "pass" for r in parse_lines(out))
 
     def test_bound_refusal_and_force(self, capsys):
-        code, _, err = run(capsys, "verify", "--conjecture", "no", "--max-n", "19")
+        code, _, err = run(capsys, "verify", "--conjecture", "no", "--max-n", "34")
         assert code == EXIT_USAGE
-        assert "full_hooks" in err and "--force" in err and "18" in err
+        assert "full_hooks" in err and "--force" in err and "33" in err
 
         code, out, _ = run(
-            capsys, "verify", "--conjecture", "no", "--max-n", "19", "--force"
+            capsys, "verify", "--conjecture", "no", "--max-n", "34", "--force"
         )
         assert code == EXIT_OK
-        assert len(parse_lines(out)) == 19
+        assert len(parse_lines(out)) == 34
 
     def test_injected_error_fails_with_witness(self, capsys):
         code, out, _ = run(

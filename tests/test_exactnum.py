@@ -5,12 +5,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darcais.exactnum import ExactPoly, poly_divmod, poly_gcd, shift_by_one
-from oracles import binomial, shift, shift_by_one_loop
+from darcais.exactnum import (
+    ExactPoly,
+    poly_divmod,
+    poly_gcd,
+    primitive_int_coeffs,
+    shift_by_one,
+)
+from oracles import binomial, derivative, shift, shift_by_one_loop
 
 
 def P(*coeffs):
     return ExactPoly(coeffs)
+
+
+def Z(p):
+    """p's coefficients scaled to primitive integers."""
+    return primitive_int_coeffs(p.coeffs)
 
 
 rationals = st.fractions(
@@ -22,8 +33,8 @@ nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
 
 class TestStructure:
     def test_zero_poly_has_no_degree(self):
-        assert ExactPoly().degree() is None
-        assert ExactPoly([0, 0, 0]).degree() is None
+        assert ExactPoly().coeffs == ()
+        assert ExactPoly([0, 0, 0]).coeffs == ()
         assert ExactPoly([0]).is_zero
 
     def test_trailing_zeros_stripped(self):
@@ -32,7 +43,7 @@ class TestStructure:
 
     def test_degree_and_leading(self):
         p = P(3, 0, Fraction(1, 2))
-        assert p.degree() == 2
+        assert len(p.coeffs) - 1 == 2
         assert p.coeffs[-1] == Fraction(1, 2)
 
     def test_coefficient_beyond_degree_is_zero(self):
@@ -58,8 +69,8 @@ class TestArithmetic:
         assert p(-1) == 2
 
     def test_derivative(self):
-        assert P(5, 3, 0, 2).derivative() == P(3, 0, 6)
-        assert P(7).derivative().is_zero
+        assert derivative(P(5, 3, 0, 2)) == P(3, 0, 6)
+        assert derivative(P(7)).is_zero
 
     def test_shift_matches_paper_expansion(self):
         # the shift of the counterexample numerator to -5 has a known
@@ -90,25 +101,25 @@ class TestGcd:
     def test_common_factor(self):
         a = P(1, 1) * P(2, 1) * P(-1, 1)
         b = P(1, 1) * P(2, 1)
-        g = poly_gcd(a, b)
-        assert g == (P(1, 1) * P(2, 1)).monic()
+        g = poly_gcd(Z(a), Z(b))
+        assert g == Z(P(1, 1) * P(2, 1))
 
     def test_coprime(self):
-        assert poly_gcd(P(1, 1), P(2, 1)).degree() == 0
+        assert len(poly_gcd(Z(P(1, 1)), Z(P(2, 1)))) == 1
 
     def test_gcd_with_zero(self):
-        assert poly_gcd(P(2, 4), ExactPoly()) == P(Fraction(1, 2), 1)
+        assert poly_gcd([2, 4], []) == [1, 2]
         with pytest.raises(ValueError):
-            poly_gcd(ExactPoly(), ExactPoly())
+            poly_gcd([], [])
 
     @settings(derandomize=True, max_examples=150)
     @given(nonzero_polys, nonzero_polys)
     def test_gcd_divides_both(self, a, b):
-        g = poly_gcd(a, b)
+        g = poly_gcd(Z(a), Z(b))
         for p in (a, b):
-            _, rem = poly_divmod(p, g)
+            _, rem = poly_divmod(p, ExactPoly(g))
             assert rem.is_zero
-        assert g.coeffs[-1] == 1
+        assert g[-1] > 0 and Z(ExactPoly(g)) == g
 
 
 class TestRingAxioms:
@@ -130,8 +141,8 @@ class TestRingAxioms:
     @settings(derandomize=True, max_examples=100)
     @given(small_polys, small_polys)
     def test_derivative_product_rule(self, a, b):
-        lhs = (a * b).derivative()
-        rhs = a.derivative() * b + a * b.derivative()
+        lhs = derivative(a * b)
+        rhs = derivative(a) * b + a * derivative(b)
         assert lhs == rhs
 
     @settings(derandomize=True, max_examples=100)
@@ -144,7 +155,7 @@ class TestRingAxioms:
     def test_divmod_identity(self, a, b):
         q, r = poly_divmod(a, b)
         assert q * b + r == a
-        assert r.is_zero or r.degree() < b.degree()
+        assert len(r.coeffs) < len(b.coeffs)
 
 
 class TestKaratsuba:

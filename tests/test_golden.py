@@ -50,9 +50,22 @@ def run_case(argv: list[str]) -> tuple[int, str]:
     return code, strip_timings(buf.getvalue())
 
 
+# below the parse/print boundary the CLI computes on integer tuples, so
+# no case may need ExactPoly's ring operators
+RING_OPERATORS = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__call__")
+
+
+def refuse(op):
+    def refused(*args):
+        raise AssertionError(f"ExactPoly.{op} called below the parse/print boundary")
+    return refused
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, monkeypatch):
     monkeypatch.delenv(cache_mod.CACHE_ENV_VAR, raising=False)
+    for op in RING_OPERATORS:
+        monkeypatch.setattr(ExactPoly, op, refuse(op))
     case = CASES[name]
     code, out = run_case(case["argv"])
     assert code == case["exit_code"]

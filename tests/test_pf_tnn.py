@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darcais import pf_tnn
 from darcais.pf_tnn import (
     MinorSpec,
     MinorWitness,
@@ -72,10 +71,12 @@ class TestToeplitzSeq:
         assert is_integral(ToeplitzSeq((1, 2)))
         assert not is_integral(ToeplitzSeq((1, Fraction(1, 2))))
 
-    def test_attached_poly(self):
+    def test_integer_entries_and_scale(self):
+        # the entries times the lcm of their denominators, computed once
         seq = ToeplitzSeq((3, 0, 1))
-        p = seq.attached_poly()
-        assert p.coeffs == (Fraction(3), Fraction(0), Fraction(1))
+        assert (seq.scale, seq.ints) == (1, (3, 0, 1))
+        seq = ToeplitzSeq((Fraction(1, 2), 1, Fraction(1, 3)))
+        assert (seq.scale, seq.ints) == (6, (3, 6, 2))
 
 
 class TestMinorSpec:
@@ -224,45 +225,6 @@ class TestPFTest:
             pf_test(ToeplitzSeq((1,)), max_order=0)
         with pytest.raises(ValueError):
             pf_test(ToeplitzSeq((1,)), max_shift=-1)
-
-
-class TestScaleOncePerSequence:
-    """toeplitz_minor scales a sequence to integers once, not per minor."""
-
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = {"scale": 0, "minor": 0}
-        scale, minor = pf_tnn._scale_entries, pf_tnn.toeplitz_minor
-
-        def counted_scale(seq):
-            counts["scale"] += 1
-            return scale(seq)
-
-        def counted_minor(seq, spec):
-            counts["minor"] += 1
-            return minor(seq, spec)
-
-        monkeypatch.setattr(pf_tnn, "_last_scaled", [None, 1, []])
-        monkeypatch.setattr(pf_tnn, "_scale_entries", counted_scale)
-        monkeypatch.setattr(pf_tnn, "toeplitz_minor", counted_minor)
-        return counts
-
-    def test_one_scaling_per_pf_test(self, counts):
-        for entries in [(2, 2, 1), (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))]:
-            before = dict(counts)
-            verdict = pf_tnn.pf_test(ToeplitzSeq(entries))
-            assert verdict.witness is not None
-            assert counts["minor"] - before["minor"] > 10
-            assert counts["scale"] - before["scale"] == 1
-
-    def test_each_sequence_gets_its_own_scale(self, counts):
-        # the same length and the same minor, but other denominators
-        first = ToeplitzSeq((Fraction(1, 2), 1, Fraction(1, 3)))
-        second = ToeplitzSeq((Fraction(1, 5), 1, Fraction(1, 7)))
-        spec = contiguous_minor_spec(3, row_start=1)
-        for seq in (first, second, first):
-            assert pf_tnn.toeplitz_minor(seq, spec) == det_cofactor(window_matrix(seq, spec))
-        assert counts["scale"] == 3
 
 
 @settings(derandomize=True, max_examples=100)

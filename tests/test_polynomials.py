@@ -77,7 +77,7 @@ class TestRecursion:
     def test_degree_and_leading_coefficient(self):
         for n in range(0, 30):
             p = darcais_poly(n)
-            assert p.degree() == n
+            assert len(p.coeffs) - 1 == n
             assert p.coeffs[-1] == Fraction(1, math.factorial(n))
 
     def test_scaled_coefficients_are_positive_integers(self):
@@ -275,16 +275,16 @@ class TestVerifyIdentity:
 
     def test_infeasible_route_is_skipped_not_silent(self):
         report = verify_identity(
-            19, routes=["full_hooks", "trivial_legs"]
+            34, routes=["full_hooks", "trivial_legs"]
         )
         assert report.passed
         routes = report.details["routes"]
         assert routes["full_hooks"]["status"] == "skipped"
-        assert "18" in routes["full_hooks"]["reason"]
+        assert "33" in routes["full_hooks"]["reason"]
         assert routes["trivial_legs"]["status"] == "pass"
 
     def test_bounds_can_be_raised(self):
-        report = verify_identity(19, routes=["full_hooks"], bounds={"full_hooks": 19})
+        report = verify_identity(34, routes=["full_hooks"], bounds={"full_hooks": 34})
         assert report.details["routes"]["full_hooks"]["status"] == "pass"
 
     def test_tampered_route_fails_with_witness(self):

@@ -18,14 +18,11 @@ ROOTS = ("cli.main", "cli.entry")
 
 # Definitions kept although the CLI does not reach them, one reason each.
 # They are walk roots too, so what they call counts as reached.
-TRACER = "perfbench tracer wraps it by name (ROADMAP item 6)"
+TRACER = "perfbench tracer wraps it by name (ROADMAP item 3)"
 ALLOWED = {
-    "exactnum.poly_divmod": TRACER,
     "rootcert.SturmChain.build": TRACER,
     "rootcert.SturmChain.members": TRACER,
     "rootcert.SturmChain.variations_at": TRACER,
-    "exactnum.ExactPoly.__call__": TRACER,
-    "reports.CertReport.to_json": TRACER,
     "partitions.Partition.hooks": TRACER,
     "partitions.enumerate_partitions": TRACER,
 }
@@ -151,10 +148,14 @@ def test_everything_in_the_package_is_reached_from_the_cli():
 
 
 def test_allowed_entries_exist_and_stay_few():
-    _, _, keys = _package_reach()
+    reach, _, keys = _package_reach()
     assert set(ALLOWED) <= keys
     assert all(reason.strip() for reason in ALLOWED.values())
-    assert len(ALLOWED) <= 10
+    # an entry is needed only for a name the walk checks and the CLI
+    # does not reach: the walk never checks dunders
+    assert [key for key in ALLOWED if _is_dunder(key.rsplit(".", 1)[1])] == []
+    assert sorted(set(ALLOWED) & reach(*ROOTS)) == []
+    assert len(ALLOWED) <= 5
 
 
 def test_series_oracle_references_no_package_code_but_exact_poly():
@@ -194,6 +195,25 @@ def test_root_counts_never_reach_the_sturm_chain():
         assert "rootcert._unit_roots" in reached  # the walk sees the bisection
         assert "exactnum.poly_gcd" in reached  # and the square-free fallback
         assert {key for key in reached if "SturmChain" in key} == set(), entry
+
+
+def test_root_certificates_never_reach_exact_poly():
+    # below the parse/print boundary rootcert and pf_tnn compute on
+    # integer coefficient tuples, and never build or call an ExactPoly
+    reach, _, _ = _package_reach()
+    for entry in (
+        "rootcert.is_square_free",
+        "rootcert.square_free_part",
+        "rootcert.count_real_roots",
+        "rootcert.all_real_roots_negative",
+        "rootcert.isolate_real_roots",
+        "rootcert.is_real_rooted",
+        "rootcert.hurwitz_stable",
+        "pf_tnn.pf_test",
+    ):
+        reached = reach(entry)
+        assert "rootcert._primitive" in reached, entry  # the walk sees the normalizer
+        assert sorted(k for k in reached if k.startswith("exactnum.ExactPoly")) == [], entry
 
 
 def test_partition_routes_share_no_function_with_the_baseline():
