@@ -56,7 +56,7 @@ def read_cache(path: str | Path) -> dict[int, tuple[int, ...]]:
             raise CacheError(f"{path}:{lineno}: record missing ':' separator")
         try:
             n = int(head.strip())
-            coeffs = tuple(int(tok) for tok in tail.split())
+            coeffs = tuple(map(int, tail.split()))
         except ValueError as exc:
             raise CacheError(f"{path}:{lineno}: unparsable record: {line!r}") from exc
         if n != expected:
@@ -69,7 +69,7 @@ def read_cache(path: str | Path) -> dict[int, tuple[int, ...]]:
             )
         if coeffs[-1] != 1:
             raise CacheError(f"{path}:{lineno}: record {n} is not monic-normalized")
-        if any(c <= 0 for c in coeffs):
+        if min(coeffs) <= 0:
             raise CacheError(f"{path}:{lineno}: record {n} has a non-positive entry")
         records[n] = coeffs
         expected += 1

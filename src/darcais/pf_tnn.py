@@ -12,6 +12,19 @@ hunts down an explicit negative contiguous minor - a matrix-side
 certificate independent of the root count.  Minors are evaluated
 exactly by Bareiss fraction-free elimination, rational sequences after
 scaling to integers.
+
+The search needs no elimination per window.  By Sylvester's identity
+(Bareiss, Math. Comp. 22, 1968) the k-th pivot of fraction-free
+elimination without row exchanges is the k x k leading principal minor,
+and the order-k window at row shift s is the leading block of every
+larger window at that shift.  So each shift keeps one elimination,
+grown by a bordered row and column per order, and all shifts step
+together, order first, then shift, so the witness is the first
+negative window in that order.  A zero pivot ends its shift's chain;
+every later order at that shift is evaluated by toeplitz_minor, which
+exchanges rows.  The window at shift s is zero more than s columns
+right of its diagonal, so bordering to order k takes O(k s) big-integer
+steps, where a fresh elimination takes O(k^3).
 """
 
 from __future__ import annotations
@@ -19,7 +32,8 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import Sequence
+from itertools import count
+from typing import Iterator, Sequence
 
 from . import rootcert
 from .plain import Frozen
@@ -117,7 +131,10 @@ class PFVerdict(Frozen):
     cross_check      the real-rootedness answer used for is_pf
     search_exhausted True when not PF but no negative contiguous minor
                      turned up within the search bounds
-    timings          seconds per stage (real_rootedness, minor_search);
+    timings          seconds per stage (real_rootedness, minor_search),
+                     and for a search the counts minors (windows
+                     evaluated) and minors_by_pivoting (those evaluated
+                     afresh by toeplitz_minor after a zero pivot);
                      not part of equality or the hash"""
 
     __slots__ = ("is_pf", "witness", "cross_check", "search_exhausted", "timings")
@@ -204,17 +221,10 @@ def pf_test(seq: ToeplitzSeq, max_order: int = 32, max_shift: int = 8) -> PFVerd
             timings=timings,
         )
     start = time.perf_counter()
-    witness = None
-    for order in range(1, max_order + 1):
-        for shift in range(0, max_shift + 1):
-            spec = contiguous_minor_spec(order, row_start=shift)
-            det = toeplitz_minor(seq, spec)
-            if det < 0:
-                witness = MinorWitness(spec, det)
-                break
-        if witness is not None:
-            break
+    witness, minors, by_pivoting = _minor_search(seq, max_order, max_shift)
     timings["minor_search"] = time.perf_counter() - start
+    timings["minors"] = minors
+    timings["minors_by_pivoting"] = by_pivoting
     return PFVerdict(
         is_pf=False,
         witness=witness,
@@ -222,3 +232,80 @@ def pf_test(seq: ToeplitzSeq, max_order: int = 32, max_shift: int = 8) -> PFVerd
         search_exhausted=witness is None,
         timings=timings,
     )
+
+
+def _minor_search(
+    seq: ToeplitzSeq, max_order: int, max_shift: int
+) -> tuple[MinorWitness | None, int, int]:
+    """The first negative contiguous minor in (order, shift) order, with
+    the number of minors evaluated and how many of those needed a fresh
+    elimination with row exchanges."""
+    chains = [_leading_minors(seq.ints, shift) for shift in range(max_shift + 1)]
+    minors = by_pivoting = 0
+    for order in range(1, max_order + 1):
+        for shift, chain in enumerate(chains):
+            minors += 1
+            pivot = next(chain, None)
+            if pivot is not None and pivot >= 0:
+                continue
+            spec = contiguous_minor_spec(order, row_start=shift)
+            if pivot is None:
+                by_pivoting += 1
+                det = toeplitz_minor(seq, spec)
+            else:
+                det = Fraction(pivot, seq.scale**order)
+            if det < 0:
+                return MinorWitness(spec, det), minors, by_pivoting
+    return None, minors, by_pivoting
+
+
+def _leading_minors(ints: Sequence[int], shift: int) -> Iterator[int]:
+    """Yield det of the k x k window at row `shift`, column 0, of the
+    Toeplitz matrix of ints, for k = 1, 2, ...: the Bareiss pivots of that
+    window, bordered by one row and column per order.  Stops after the
+    first zero, past which Bareiss would divide by it."""
+    size = len(ints)
+
+    def at(i: int, j: int) -> int:
+        d = shift + i - j
+        return ints[d] if 0 <= d < size else 0
+
+    # after t elimination steps, upper[t][j] is entry (t, j) for j >= t
+    # and lower[i][t] entry (i, t) for i > t; pivots[t] is upper[t][t].
+    # The window is zero more than `shift` columns right of the diagonal,
+    # and stays so under elimination: upper[t][j] = 0 for j > t + shift,
+    # and the new column is zero in rows above k - shift.  A step that
+    # meets such a zero only multiplies an entry by pivots[t] /
+    # pivots[t - 1], so those steps collapse into one product: entry j of
+    # the new row starts at step j - shift times pivots[j - shift - 1],
+    # and the new column and the corner start at step k - shift.
+    upper: list[list[int]] = []
+    lower: list[list[int]] = []
+    pivots: list[int] = []
+    for k in count():
+        start = max(0, k - shift)
+        lead = pivots[start - 1] if start else 1
+        col = [0] * start + [at(i, k) * lead for i in range(start, k)]
+        corner = at(k, k) * lead
+        row = [
+            at(k, j) * (pivots[j - shift - 1] if j > shift else 1)
+            for j in range(k)
+        ]
+        prev = 1
+        for t, pivot in enumerate(pivots):
+            head, pivot_row = row[t], upper[t]
+            for j in range(t + 1, min(k, t + shift + 1)):
+                row[j] = (row[j] * pivot - head * pivot_row[j]) // prev
+            if t >= start:
+                top = col[t]
+                for i in range(t + 1, k):
+                    col[i] = (col[i] * pivot - lower[i][t] * top) // prev
+                corner = (corner * pivot - head * top) // prev
+            pivot_row.append(col[t])
+            prev = pivot
+        yield corner
+        if corner == 0:
+            return
+        upper.append([0] * k + [corner])
+        lower.append(row)
+        pivots.append(corner)

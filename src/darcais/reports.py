@@ -27,7 +27,9 @@ class CertReport(Plain):
     witnesses   machine-readable evidence for a failure (never empty on fail
                 unless a search was explicitly exhausted, which the details
                 then say)
-    timings     seconds per stage; excluded from determinism comparisons
+    timings     seconds per stage, and for pf the counts minors and
+                minors_by_pivoting (see pf_tnn.PFVerdict); excluded from
+                determinism comparisons
     """
 
     __slots__ = ("kind", "target", "verdict", "details", "witnesses", "timings",

@@ -11,8 +11,10 @@ It also keeps the plain, direct forms of four fast package kernels (the
 Taylor shift, the ultra-log-concavity test, and the hook and binomial
 partition sums with their coefficient lists expanded), so each kernel
 can be checked against its textbook statement, plus exact division by
-claimed factors, the derivative, and Sturm's theorem as the root count
-the Descartes bisection of rootcert is checked against.
+claimed factors, the derivative, Sturm's theorem as the root count
+the Descartes bisection of rootcert is checked against, and the minor
+search that evaluates every Toeplitz window afresh, which pf_test's
+bordered eliminations are checked against.
 """
 
 import math
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from darcais.exactnum import ExactPoly, convolve, poly_divmod
 from darcais.partitions import HookMultiset, HookSelector, Partition, enumerate_partitions
-from darcais.pf_tnn import ToeplitzSeq
+from darcais.pf_tnn import MinorWitness, ToeplitzSeq, contiguous_minor_spec, toeplitz_minor
 from darcais.rootcert import SturmChain
 
 
@@ -121,6 +123,20 @@ def toeplitz_entry(seq: ToeplitzSeq, i: int, j: int) -> Fraction:
 def is_integral(seq: ToeplitzSeq) -> bool:
     """True when every entry of seq is an integer."""
     return all(e.denominator == 1 for e in seq.entries)
+
+
+def first_negative_minor(
+    seq: ToeplitzSeq, max_order: int, max_shift: int
+) -> MinorWitness | None:
+    """The first negative contiguous window in increasing order, then
+    increasing row shift, each evaluated by its own toeplitz_minor."""
+    for order in range(1, max_order + 1):
+        for shift in range(0, max_shift + 1):
+            spec = contiguous_minor_spec(order, row_start=shift)
+            det = toeplitz_minor(seq, spec)
+            if det < 0:
+                return MinorWitness(spec, det)
+    return None
 
 
 def sigma_table(n: int) -> list[int]:

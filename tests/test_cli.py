@@ -626,7 +626,7 @@ class TestOutputContract:
         }
         _, out, _ = run(capsys, "pf", "--coeffs", "2 2 1")
         assert set(parse_lines(out)[0]["timings"]) == {
-            "real_rootedness", "minor_search"
+            "real_rootedness", "minor_search", "minors", "minors_by_pivoting"
         }
 
     def test_version(self, capsys):

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darcais import pf_tnn, polynomials
 from darcais.pf_tnn import (
     MinorSpec,
     MinorWitness,
@@ -15,9 +17,10 @@ from darcais.pf_tnn import (
     pf_test,
     toeplitz_minor,
     _det_bareiss,
+    _leading_minors,
 )
 
-from oracles import is_integral, toeplitz_entry
+from oracles import first_negative_minor, is_integral, toeplitz_entry
 
 # degree-8 cofactor of the n = 10 normalized numerator; not a PF sequence
 R_COEFFS = (6531840, 29758896, 28014804, 10035116, 1709659, 147854, 6496, 134, 1)
@@ -49,6 +52,34 @@ def det_cofactor(matrix):
 
 def window_matrix(seq, spec):
     return [[toeplitz_entry(seq, i, j) for j in spec.cols] for i in spec.rows]
+
+
+def leading_det(ints, shift, order):
+    """det of the order x order window at row `shift`, column 0, by a
+    fresh elimination."""
+    size = len(ints)
+    return _det_bareiss([
+        [ints[shift + i - j] if 0 <= shift + i - j < size else 0 for j in range(order)]
+        for i in range(order)
+    ])
+
+
+def strip_minus_one(coeffs):
+    """The quotient of the polynomial by x + 1, which must divide it."""
+    quotient, carry = [], 0
+    for c in reversed(coeffs[1:]):
+        carry = c - carry
+        quotient.append(carry)
+    assert coeffs[0] == carry, "-1 is not a root"
+    return quotient[::-1]
+
+
+def not_pentagonal(limit):
+    """n <= limit other than the generalized pentagonal numbers k(3k -+ 1)/2:
+    exactly the n at which -1 is a root of n! P_n (Euler's pentagonal
+    theorem)."""
+    pentagonal = {k * (3 * k + e) // 2 for k in range(limit) for e in (-1, 1)}
+    return [n for n in range(1, limit + 1) if n not in pentagonal]
 
 
 class TestToeplitzSeq:
@@ -225,6 +256,126 @@ class TestPFTest:
             pf_test(ToeplitzSeq((1,)), max_order=0)
         with pytest.raises(ValueError):
             pf_test(ToeplitzSeq((1,)), max_shift=-1)
+
+
+class TestLeadingMinors:
+    # the bordered elimination of one row shift against a fresh elimination
+    # of each leading block; the entries run small so that zeros, both in
+    # the sequence and as minors, are common
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=8),
+        st.integers(0, 9),
+    )
+    def test_each_value_is_the_leading_minor(self, ints, shift):
+        values = list(islice(_leading_minors(ints, shift), 10))
+        expected = []
+        for order in range(1, 11):
+            expected.append(leading_det(ints, shift, order))
+            if expected[-1] == 0:
+                break
+        assert values == expected
+
+    def test_chain_stops_right_after_the_first_zero(self):
+        # shift 1 of 1 0 2 0 1: the 1 x 1 minor a_1 is zero
+        chain = _leading_minors((1, 0, 2, 0, 1), 1)
+        assert list(chain) == [0]
+        # shift 2 of 1 1 0 1: [[0, 1], [1, 0]] is not zero but its 1 x 1
+        # block is, so the chain ends at order 1 all the same
+        assert list(_leading_minors((1, 1, 0, 1), 2)) == [0]
+        assert leading_det((1, 1, 0, 1), 2, 2) == -1
+
+    def test_deep_chain_of_the_degree8_cofactor(self):
+        values = list(islice(_leading_minors(R_COEFFS, R_WITNESS_SHIFT), R_WITNESS_ORDER))
+        assert values[-1] == R_WITNESS_DET
+        assert values[:-1] == [
+            leading_det(R_COEFFS, R_WITNESS_SHIFT, order)
+            for order in range(1, R_WITNESS_ORDER)
+        ]
+
+
+def visited_windows(max_order, max_shift, witness):
+    """(order, shift) of every window the search evaluates, in its order."""
+    for order in range(1, max_order + 1):
+        for shift in range(max_shift + 1):
+            yield order, shift
+            if witness is not None and witness.spec == contiguous_minor_spec(order, shift):
+                return
+
+
+class TestSearchAgainstOracle:
+    # the oracle (tests/oracles.py) evaluates every window afresh, in the
+    # same (order, shift) order
+
+    def assert_matches_oracle(self, seq, max_order, max_shift=8):
+        verdict = pf_test(seq, max_order=max_order, max_shift=max_shift)
+        if verdict.is_pf:
+            assert verdict.witness is None and not verdict.search_exhausted
+            return verdict
+        witness = first_negative_minor(seq, max_order, max_shift)
+        assert verdict.witness == witness
+        assert verdict.search_exhausted == (witness is None)
+        return verdict
+
+    def test_numerators_up_to_60_at_order_12(self):
+        for n in not_pentagonal(60):
+            coeffs = polynomials.darcais_record(n).numer_coeffs
+            self.assert_matches_oracle(ToeplitzSeq(coeffs), 12)
+            self.assert_matches_oracle(ToeplitzSeq(strip_minus_one(coeffs)), 12)
+
+    def test_numerators_at_the_default_order(self):
+        for n, order in ((10, 26), (20, 15), (31, None)):
+            seq = ToeplitzSeq(polynomials.darcais_record(n).numer_coeffs)
+            verdict = self.assert_matches_oracle(seq, 32)
+            if order is None:
+                assert verdict.search_exhausted
+            else:
+                assert verdict.witness.spec.order == order
+
+    def test_rational_sequence(self):
+        seq = ToeplitzSeq(tuple(Fraction(c, 7) for c in R_COEFFS[:-1]) + (Fraction(1, 2),))
+        verdict = self.assert_matches_oracle(seq, 32)
+        assert verdict.witness is not None
+
+    @pytest.mark.parametrize("entries, max_order", [
+        ((1, 0, 2, 0, 1), 32),  # zero pivots at odd shifts
+        ((1, 1, 1), 32),  # shorter than max_shift: a_s = 0 for s > 2
+        ((1, 1, 1), 2),  # the same, with the search exhausted
+        ((2, 2, 1), 32),
+        ((1, 0, 0, 1), 32),
+    ])
+    def test_fallback_runs_only_after_a_zero_pivot(self, monkeypatch, entries, max_order):
+        seq = ToeplitzSeq(entries)
+        calls = []
+        fresh = pf_tnn.toeplitz_minor
+
+        def spy(seq, spec):
+            calls.append((spec.order, spec.rows[0]))
+            return fresh(seq, spec)
+
+        monkeypatch.setattr(pf_tnn, "toeplitz_minor", spy)
+        verdict = pf_test(seq, max_order=max_order)
+        monkeypatch.undo()
+        visited = list(visited_windows(max_order, 8, verdict.witness))
+        after_zero = [
+            (order, shift) for order, shift in visited
+            if any(leading_det(seq.ints, shift, k) == 0 for k in range(1, order))
+        ]
+        assert calls == after_zero
+        assert verdict.timings["minors"] == len(visited)
+        assert verdict.timings["minors_by_pivoting"] == len(after_zero)
+        self.assert_matches_oracle(seq, max_order)
+
+    def test_no_fallback_without_a_zero_pivot(self, monkeypatch):
+        def refuse(seq, spec):
+            raise AssertionError(f"fresh elimination of {spec}")
+
+        monkeypatch.setattr(pf_tnn, "toeplitz_minor", refuse)
+        verdict = pf_test(ToeplitzSeq(R_COEFFS))
+        assert verdict.witness.determinant == R_WITNESS_DET
+        assert verdict.timings["minors_by_pivoting"] == 0
+        # 25 full orders of shifts 0..8, then shifts 0..3 at order 26
+        assert verdict.timings["minors"] == 25 * 9 + 4
 
 
 @settings(derandomize=True, max_examples=100)

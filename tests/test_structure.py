@@ -197,6 +197,19 @@ def test_root_counts_never_reach_the_sturm_chain():
         assert {key for key in reached if "SturmChain" in key} == set(), entry
 
 
+def test_minor_search_never_reaches_rootcert():
+    # pf_test takes its PF verdict from rootcert's root count and its
+    # witness from Toeplitz minors; the two certificates stay independent
+    # only while the minor search reaches nothing in rootcert
+    reach, _, _ = _package_reach()
+    reached = reach("pf_tnn._minor_search")
+    # the walk sees the bordered eliminations and the fresh fallback
+    assert {"pf_tnn._leading_minors", "pf_tnn.toeplitz_minor",
+            "pf_tnn._det_bareiss"} <= reached
+    assert sorted(key for key in reached if key.startswith("rootcert.")) == []
+    assert "rootcert.is_real_rooted" in reach("pf_tnn.pf_test")
+
+
 def test_root_certificates_never_reach_exact_poly():
     # below the parse/print boundary rootcert and pf_tnn compute on
     # integer coefficient tuples, and never build or call an ExactPoly
