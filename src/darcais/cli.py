@@ -366,7 +366,7 @@ def cmd_pf(args: argparse.Namespace) -> int:
 # -- shape -------------------------------------------------------------------
 
 
-def _parse_doctor(value: str):
+def _parse_doctor(value: str, max_n: int):
     parts = value.split(":")
     if len(parts) != 3:
         raise UsageError("--doctor expects N:INDEX:VALUE")
@@ -374,10 +374,17 @@ def _parse_doctor(value: str):
         target_n, index, forced = int(parts[0]), int(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"bad --doctor value {value!r}")
+    # a doctored row the table never reaches would report success
+    if not 1 <= target_n <= max_n:
+        raise UsageError(f"--doctor N={target_n} is outside the table's range 1..{max_n}")
+    if not 0 <= index <= target_n:
+        raise UsageError(
+            f"--doctor INDEX={index} is outside Q_{target_n}'s coefficients 0..{target_n}"
+        )
 
     def override(n: int):
         seq = list(polynomials.q_scaled_coeffs(n))
-        if n == target_n and 0 <= index < len(seq):
+        if n == target_n:
             seq[index] = forced
         return seq
 
@@ -399,7 +406,7 @@ def cmd_shape(args: argparse.Namespace) -> int:
             f"{SHAPE_DESK_LIMIT}; pass --full-1000 to go up to {SHAPE_FULL_LIMIT}"
         )
     _maybe_load_cache(args)
-    override = _parse_doctor(args.doctor) if args.doctor else None
+    override = _parse_doctor(args.doctor, args.max_n) if args.doctor else None
     if args.format == "csv":
         print("n,unimodal,log_concave,ultra_log_concave,peak_index")
     # one n at a time, each row flushed as it is done, so a long run shows

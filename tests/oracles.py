@@ -14,7 +14,10 @@ can be checked against its textbook statement, plus exact division by
 claimed factors, the derivative, Sturm's theorem as the root count
 the Descartes bisection of rootcert is checked against, and the minor
 search that evaluates every Toeplitz window afresh, which pf_test's
-bordered eliminations are checked against.
+bordered eliminations are checked against.  shape_summary_separate is
+the shape summary as separate exact passes, with no top-bit filter and
+the implication chain asserted over the whole sequence, which the one
+concavity pass of shape_summary is checked against.
 """
 
 import math
@@ -25,6 +28,12 @@ from darcais.exactnum import ExactPoly, convolve, poly_divmod
 from darcais.partitions import HookMultiset, HookSelector, Partition, enumerate_partitions
 from darcais.pf_tnn import MinorWitness, ToeplitzSeq, contiguous_minor_spec, toeplitz_minor
 from darcais.rootcert import SturmChain
+from darcais.shape import (
+    InternalConsistencyError,
+    ShapeVerdict,
+    is_log_concave,
+    is_unimodal,
+)
 
 
 class HookConsistencyError(ArithmeticError):
@@ -192,6 +201,45 @@ def ulc_witness_comb(values) -> int | None:
         if lhs < rhs:
             return j
     return None
+
+
+def ulc_witness_exact(values) -> int | None:
+    """First j where a_j^2 j (n-j) < a_{j-1} a_{j+1} (j+1) (n-j+1),
+    n = len - 1, with both sides multiplied out in full; None if none."""
+    n = len(values) - 1
+    for j in range(1, n):
+        lhs = values[j] * values[j] * (j * (n - j))
+        if lhs < values[j - 1] * values[j + 1] * ((j + 1) * (n - j + 1)):
+            return j
+    return None
+
+
+def shape_summary_separate(values) -> ShapeVerdict:
+    """The three predicates as separate exact passes: is_unimodal,
+    is_log_concave and ulc_witness_exact.  For a positive sequence, ULC
+    without log-concavity, or log-concavity without unimodality, raises.
+    The witness is unimodality's if it fails, else log-concavity's, else
+    ULC's."""
+    uni = is_unimodal(values)
+    lc = is_log_concave(values)
+    ulc_witness = ulc_witness_exact(values)
+    if all(v > 0 for v in values):
+        if ulc_witness is None and not lc.log_concave:
+            raise InternalConsistencyError("ultra-log-concave sequence judged not log-concave")
+        if lc.log_concave and not uni.unimodal:
+            raise InternalConsistencyError("log-concave positive sequence judged not unimodal")
+    witness = uni.failure_witness
+    if witness is None:
+        witness = lc.failure_witness
+    if witness is None:
+        witness = ulc_witness
+    return ShapeVerdict(
+        unimodal=uni.unimodal,
+        log_concave=lc.log_concave,
+        ultra_log_concave=ulc_witness is None,
+        peak_index=uni.peak_index,
+        failure_witness=witness,
+    )
 
 
 def hook_sum_convolve(n: int, selector: HookSelector, square: bool) -> ExactPoly:

@@ -298,6 +298,28 @@ class TestShape:
         assert lines[-1].split(",")[3] == "0"
         assert "n=5" in err
 
+    @pytest.mark.parametrize(
+        "doctor, named",
+        [("5:99:1", "INDEX=99"), ("5:6:1", "INDEX=6"), ("5:-1:1", "INDEX=-1"),
+         ("50:1:1", "N=50"), ("13:1:1", "N=13"), ("0:0:1", "N=0"), ("-3:0:1", "N=-3")],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_doctor_outside_the_table_is_refused(self, capsys, doctor, named, fmt):
+        # a doctored row the table never reaches used to leave every row
+        # passing and exit 0
+        code, out, err = run(
+            capsys, "shape", "--max-n", "12", "--format", fmt, f"--doctor={doctor}"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("doctor", ["1:0:2", "1:1:2", "12:0:0", "12:12:7"])
+    def test_doctor_accepts_the_table_edges(self, capsys, doctor):
+        code, out, _ = run(capsys, "shape", "--max-n", "12", "--doctor", doctor)
+        assert code in (EXIT_OK, EXIT_MATH_FAIL)
+        assert out.startswith("n,unimodal")
+
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_rows_are_flushed_as_each_n_finishes(self, capsys, monkeypatch, fmt):
         code, full, _ = run(capsys, "shape", "--max-n", "12", "--format", fmt)

@@ -2,10 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from darcais import shape
 from darcais.exactnum import ExactPoly
 from darcais.polynomials import q_scaled_coeffs
 from darcais.shape import (
@@ -17,7 +19,7 @@ from darcais.shape import (
     shape_report,
     shape_summary,
 )
-from oracles import ulc_witness_comb
+from oracles import shape_summary_separate, ulc_witness_comb
 
 # degree-6 cofactor of the n = 11 normalized numerator: positive and
 # real-rooted, hence ultra-log-concave by Newton's inequalities
@@ -242,33 +244,103 @@ def _binomial_row_perturbed(draw_args):
     return [max(0, v + d) for v, d in zip(row, deltas)]
 
 
+# binomial rows are exactly on the ULC boundary, so their small
+# perturbations land on both sides of it; scaled past 2^200, the top-bit
+# filter cannot decide them and the exact products must
 binomial_rows = st.integers(1, 12).flatmap(
     lambda n: st.tuples(
         st.just(n),
-        st.integers(1, 1000),
+        st.one_of(st.integers(1, 1000), st.integers(1, 1000).map(lambda s: s << 200)),
         st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1),
     )
 ).map(_binomial_row_perturbed)
 
+shape_sequences = st.one_of(
+    st.lists(st.integers(0, 50), min_size=1, max_size=10),
+    st.lists(st.integers(0, 10**40), min_size=1, max_size=10),
+    st.lists(st.integers(2**64 - 4, 2**66), min_size=1, max_size=10),
+    binomial_rows,
+)
+
+
+def _shape_examples(test):
+    for values in ([0], [0, 0, 0], [1, 0, 1], [0, 1, 1, 0], [1, 2, 1], [1, 1, 1],
+                   [2**200, 2**201, 2**200 - 1], [2**200, 2**201 - 1, 2**200],
+                   [2**64, 0, 2**64]):
+        test = example(values)(test)
+    return test
+
 
 @settings(derandomize=True, max_examples=300)
-@given(
-    st.one_of(
-        st.lists(st.integers(0, 50), min_size=1, max_size=10),
-        st.lists(st.integers(0, 10**40), min_size=1, max_size=10),
-        binomial_rows,
-    )
-)
-@example([0])
-@example([0, 0, 0])
-@example([1, 0, 1])
-@example([0, 1, 1, 0])
-@example([1, 2, 1])
-@example([1, 1, 1])
+@given(shape_sequences)
+@_shape_examples
 def test_ulc_matches_binomial_form(values):
-    # binomial rows are exactly on the ULC boundary, so their small
-    # perturbations land on both sides of it
     expected = ulc_witness_comb(values)
     verdict = is_ultra_log_concave(values)
     assert verdict.ultra_log_concave is (expected is None)
     assert verdict.failure_witness == expected
+
+
+@settings(derandomize=True, max_examples=300)
+@given(shape_sequences)
+@_shape_examples
+def test_summary_matches_separate_passes(values):
+    assert shape_summary(values) == shape_summary_separate(values)
+
+
+class TestOnePass:
+    """shape_summary's single concavity pass against the separate exact
+    passes of shape_summary_separate."""
+
+    def test_every_q_n_up_to_300(self):
+        for n in range(0, 301):
+            seq = q_scaled_coeffs(n)
+            assert shape_summary(seq) == shape_summary_separate(seq), n
+
+    def test_doctored_q_n(self):
+        # the pattern of test_matches_binomial_form_on_doctored_q_n: one
+        # entry moved by a twentieth of itself
+        rng = random.Random(5)
+        verdicts = []
+        for n in range(2, 301):
+            seq = list(q_scaled_coeffs(n))
+            j = rng.randrange(len(seq))
+            seq[j] += rng.choice((-1, 1)) * max(1, seq[j] // 20)
+            verdict = shape_summary(seq)
+            assert verdict == shape_summary_separate(seq), n
+            verdicts.append((verdict.ultra_log_concave, verdict.log_concave))
+        # ULC holds for some, fails with log-concavity kept for others,
+        # and fails with log-concavity lost for others still
+        assert {(True, True), (False, True), (False, False)} <= set(verdicts)
+
+    def test_log_concavity_is_checked_only_when_ulc_fails(self, monkeypatch):
+        calls = []
+        real = shape.is_log_concave
+
+        def spy(values):
+            calls.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(shape, "is_log_concave", spy)
+        for n in range(0, 151):
+            assert shape_summary(q_scaled_coeffs(n)).log_concave is True
+        assert calls == []
+        seq = list(q_scaled_coeffs(40))
+        seq[20] -= seq[20] // 20
+        verdict = shape_summary(seq)
+        assert verdict.ultra_log_concave is False
+        assert calls == [41]
+
+    def test_fraction_entries(self):
+        # the top-bit filter reads integers only; fractions, alone or next
+        # to big integers, take the exact products
+        seq = [Fraction(v, 7) for v in q_scaled_coeffs(30)]
+        assert shape_summary(seq) == shape_summary_separate(seq)
+        seq[12] *= Fraction(19, 20)
+        assert shape_summary(seq) == shape_summary_separate(seq)
+        assert shape_summary(seq).ultra_log_concave is False
+        mixed = list(q_scaled_coeffs(30))
+        mixed[11] = Fraction(mixed[11])
+        assert mixed[10] > 2**64
+        assert shape_summary(mixed) == shape_summary_separate(mixed)
+        assert shape_summary(mixed).ultra_log_concave is True
