@@ -381,6 +381,8 @@ def _parse_doctor(value: str, max_n: int):
         raise UsageError(
             f"--doctor INDEX={index} is outside Q_{target_n}'s coefficients 0..{target_n}"
         )
+    if forced < 0:
+        raise UsageError(f"--doctor VALUE={forced} is negative; shapes need entries >= 0")
 
     def override(n: int):
         seq = list(polynomials.q_scaled_coeffs(n))

@@ -75,8 +75,10 @@ DEFAULT_ROUTE_BOUNDS: dict[str, int] = {
     "binomials": 46,
 }
 
-# _SCALED[n] = coefficients of n! * P_n(x), constant term first (all ints).
-_SCALED: list[tuple[int, ...]] = [(1,)]
+# _SCALED[n] = coefficients of n! * P_n(x), constant term first (all ints);
+# a row seeded as record text and not read since is still that text
+# (seed_records), and _row converts it on first read.
+_SCALED: list[tuple[int, ...] | bytes | memoryview] = [(1,)]
 # _Q_SCALED[n] = coefficients of n! * Q_n(z), constant term first (all ints).
 _Q_SCALED: list[tuple[int, ...]] = [(1,)]
 
@@ -96,7 +98,27 @@ def _pentagonal_terms(n: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _extend_table(table: list[tuple[int, ...]], n: int, shifted: bool) -> None:
+def parse_record(text: bytes | memoryview) -> tuple[int, ...]:
+    """The record a_0..a_{n-1} from its text: decimals between spaces."""
+    return tuple(map(int, bytes(text).split()))
+
+
+def _ints(row: tuple[int, ...] | bytes | memoryview) -> tuple[int, ...]:
+    """A table row as ints: record text becomes (0, a_0, ..., a_{n-1}),
+    the coefficients of n! * P_n."""
+    return row if isinstance(row, tuple) else (0, *parse_record(row))
+
+
+def _row(table: list, i: int) -> tuple[int, ...]:
+    """table[i] as ints; a row still held as text is converted on this
+    first read and stored back."""
+    row = table[i]
+    if not isinstance(row, tuple):
+        row = table[i] = _ints(row)
+    return row
+
+
+def _extend_table(table: list, n: int, shifted: bool) -> None:
     """Extend table up to index n by the pentagonal recurrence: n! * P_n
     rows when shifted is false, n! * Q_n rows when it is true.
 
@@ -116,7 +138,7 @@ def _extend_table(table: list[tuple[int, ...]], n: int, shifted: bool) -> None:
         for j, sign in reversed(terms):
             step = math.prod(range(m - above + 1, m - j + 1))
             above = j
-            row = table[m - j]
+            row = _row(table, m - j)
             c = -sign * (m if shifted else m - j)
             d = -sign * j
             # one fused pass: step * acc + (c + d x) * row.  That product is
@@ -137,7 +159,15 @@ def scaled_coeffs(n: int) -> tuple[int, ...]:
     if n < 0:
         raise ValueError("index must be nonnegative")
     _ensure_scaled(n)
-    return _SCALED[n]
+    return _row(_SCALED, n)
+
+
+def loaded_text(n: int) -> bytes | memoryview | None:
+    """The text record n was seeded as, if no computation has read the
+    row since (it is still text in the memo); else None."""
+    if n < len(_SCALED) and not isinstance(_SCALED[n], tuple):
+        return _SCALED[n]
+    return None
 
 
 class DArcaisRecord(Frozen):
@@ -197,25 +227,34 @@ def q_poly(n: int) -> ExactPoly:
     return ExactPoly(Fraction(c, fact) for c in q_scaled_coeffs(n))
 
 
-def seed_records(records: Mapping[int, tuple[int, ...]]) -> None:
+def seed_records(
+    records: Mapping[int, tuple[int, ...] | bytes | memoryview]
+) -> None:
     """Prime the memo table from externally stored records.
 
-    Records must start at n = 1 with no gaps.  Any overlap with already
-    computed values is compared and a mismatch raises, so a stale or
-    corrupted store can never silently poison later computations.
+    Records must start at n = 1 with no gaps.  A record is its n ints
+    a_0..a_{n-1}, or their text as a canonical cache file holds it: bytes
+    of n positive decimals without leading zeros, single spaces, the last
+    "1".  The caller vouches for that form (cache.read_cache proves it);
+    such a row stays text until a computation first reads it, and
+    loaded_text hands it back unread.  Any overlap with values already
+    held is compared and a mismatch raises, so a stale or corrupted store
+    can never silently poison later computations.
     """
     for n in sorted(records):
-        coeffs = (0, *records[n])
+        record = records[n]
+        row = record if isinstance(record, (bytes, memoryview)) else (0, *record)
         if n < len(_SCALED):
-            if _SCALED[n] != coeffs:
+            if _row(_SCALED, n) != _ints(row):
                 raise ValueError(
                     f"stored record for n={n} disagrees with computed values"
                 )
             continue
         if n != len(_SCALED):
             raise ValueError(f"records skip n={len(_SCALED)}")
-        DArcaisRecord(n, tuple(records[n]))  # validates shape
-        _SCALED.append(coeffs)
+        if isinstance(row, tuple):
+            DArcaisRecord(n, row[1:])  # validates shape
+        _SCALED.append(row)
 
 
 # -- partition-sum routes for Q_n --------------------------------------------

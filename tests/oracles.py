@@ -17,13 +17,17 @@ search that evaluates every Toeplitz window afresh, which pf_test's
 bordered eliminations are checked against.  shape_summary_separate is
 the shape summary as separate exact passes, with no top-bit filter and
 the implication chain asserted over the whole sequence, which the one
-concavity pass of shape_summary is checked against.
+concavity pass of shape_summary is checked against.  read_cache_exact
+is the record-cache reader as a line parser alone, which the canonical
+fast path of cache.read_cache is checked against.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
+from darcais.cache import CACHE_HEADER, CacheError
 from darcais.exactnum import ExactPoly, convolve, poly_divmod
 from darcais.partitions import HookMultiset, HookSelector, Partition, enumerate_partitions
 from darcais.pf_tnn import MinorWitness, ToeplitzSeq, contiguous_minor_spec, toeplitz_minor
@@ -488,3 +492,49 @@ def check_isolation(p: ExactPoly, intervals, max_width) -> None:
     for a, b in zip(intervals, intervals[1:]):
         assert a.upper <= b.lower
     assert len(intervals) == sturm_count(p, chain=chain)
+
+
+def read_cache_exact(path: str | Path) -> dict[int, tuple[int, ...]]:
+    """Parse and validate a cache file; returns {n: (a_0..a_{n-1})}."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="ascii")
+    except OSError as exc:
+        raise CacheError(f"cannot read cache file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"cache file {path} is not ASCII text") from exc
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != CACHE_HEADER:
+        raise CacheError(
+            f"bad cache header in {path}: expected {CACHE_HEADER!r}, "
+            f"got {lines[0].strip()!r}" if lines else f"empty cache file {path}"
+        )
+    records: dict[int, tuple[int, ...]] = {}
+    expected = 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        head, sep, tail = line.partition(":")
+        if not sep:
+            raise CacheError(f"{path}:{lineno}: record missing ':' separator")
+        try:
+            n = int(head.strip())
+            coeffs = tuple(map(int, tail.split()))
+        except ValueError as exc:
+            raise CacheError(f"{path}:{lineno}: unparsable record: {line!r}") from exc
+        if n != expected:
+            raise CacheError(
+                f"{path}:{lineno}: record index {n} out of order (expected {expected})"
+            )
+        if len(coeffs) != n:
+            raise CacheError(
+                f"{path}:{lineno}: record {n} has {len(coeffs)} coefficients, needs {n}"
+            )
+        if coeffs[-1] != 1:
+            raise CacheError(f"{path}:{lineno}: record {n} is not monic-normalized")
+        if min(coeffs) <= 0:
+            raise CacheError(f"{path}:{lineno}: record {n} has a non-positive entry")
+        records[n] = coeffs
+        expected += 1
+    return records

@@ -321,6 +321,16 @@ class TestShape:
         assert out.startswith("n,unimodal")
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_doctor_negative_value_is_refused(self, capsys, fmt):
+        # refused before the header, not when row 5 is reached
+        code, out, err = run(
+            capsys, "shape", "--max-n", "12", "--format", fmt, "--doctor=5:1:-1"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "VALUE=-1" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_rows_are_flushed_as_each_n_finishes(self, capsys, monkeypatch, fmt):
         code, full, _ = run(capsys, "shape", "--max-n", "12", "--format", fmt)
         assert code == EXIT_OK
