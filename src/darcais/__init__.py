@@ -12,106 +12,59 @@ ultra-log-concavity).
 
 Every computation is exact: arbitrary-precision integers and rationals
 throughout, no floating point on any certification path.
+
+Each exported name is imported from its module on first use (PEP 562),
+so a process imports only the modules it runs: a `shape` sweep or
+`poly --normalized` job loads neither the rational arithmetic nor the
+root and PF certificates, nor `json` and `fractions` with them.
 """
 
-from .exactnum import ExactPoly, poly_divmod
-from .partitions import (
-    HookMultiset,
-    HookSelector,
-    Partition,
-    enumerate_partitions,
-)
-from .pf_tnn import (
-    MinorSpec,
-    MinorWitness,
-    PFVerdict,
-    ToeplitzSeq,
-    contiguous_minor_spec,
-    pf_test,
-    toeplitz_minor,
-)
-from .polynomials import (
-    DArcaisRecord,
-    DEFAULT_ROUTE_BOUNDS,
-    binomial_sum,
-    darcais_poly,
-    darcais_record,
-    hook_sum_full,
-    hook_sum_trivial_arm,
-    hook_sum_trivial_leg,
-    q_poly,
-    q_scaled_coeffs,
-    scaled_coeffs,
-    seed_records,
-    verify_identity,
-)
-from .reports import ARTIFACT_VERSION, CertReport
-from .rootcert import (
-    RootAtEndpointError,
-    RootInterval,
-    RouthVerdict,
-    all_real_roots_negative,
-    count_real_roots,
-    hurwitz_stable,
-    is_real_rooted,
-    is_square_free,
-    isolate_real_roots,
-)
-from .shape import (
-    InternalConsistencyError,
-    ShapeVerdict,
-    is_log_concave,
-    is_ultra_log_concave,
-    is_unimodal,
-    shape_report,
-    shape_summary,
-)
+from importlib import import_module
+
+from .reports import ARTIFACT_VERSION
 
 __version__ = ARTIFACT_VERSION
 
-__all__ = [
-    "ARTIFACT_VERSION",
-    "CertReport",
-    "DArcaisRecord",
-    "DEFAULT_ROUTE_BOUNDS",
-    "ExactPoly",
-    "HookMultiset",
-    "HookSelector",
-    "InternalConsistencyError",
-    "MinorSpec",
-    "MinorWitness",
-    "PFVerdict",
-    "Partition",
-    "RootAtEndpointError",
-    "RootInterval",
-    "RouthVerdict",
-    "ShapeVerdict",
-    "ToeplitzSeq",
-    "all_real_roots_negative",
-    "binomial_sum",
-    "contiguous_minor_spec",
-    "count_real_roots",
-    "darcais_poly",
-    "darcais_record",
-    "enumerate_partitions",
-    "hook_sum_full",
-    "hook_sum_trivial_arm",
-    "hook_sum_trivial_leg",
-    "hurwitz_stable",
-    "is_log_concave",
-    "is_real_rooted",
-    "is_square_free",
-    "is_ultra_log_concave",
-    "is_unimodal",
-    "isolate_real_roots",
-    "pf_test",
-    "poly_divmod",
-    "q_poly",
-    "q_scaled_coeffs",
-    "scaled_coeffs",
-    "seed_records",
-    "shape_report",
-    "shape_summary",
-    "toeplitz_minor",
-    "verify_identity",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "exactnum": ("ExactPoly", "poly_divmod"),
+        "partitions": ("HookMultiset", "HookSelector", "Partition", "enumerate_partitions"),
+        "pf_tnn": (
+            "MinorSpec", "MinorWitness", "PFVerdict", "ToeplitzSeq",
+            "contiguous_minor_spec", "pf_test", "toeplitz_minor",
+        ),
+        "polynomials": (
+            "DArcaisRecord", "DEFAULT_ROUTE_BOUNDS", "binomial_sum", "darcais_poly",
+            "darcais_record", "hook_sum_full", "hook_sum_trivial_arm",
+            "hook_sum_trivial_leg", "q_poly", "q_scaled_coeffs", "scaled_coeffs",
+            "seed_records", "verify_identity",
+        ),
+        "reports": ("ARTIFACT_VERSION", "CertReport"),
+        "rootcert": (
+            "RootAtEndpointError", "RootInterval", "RouthVerdict",
+            "all_real_roots_negative", "count_real_roots", "hurwitz_stable",
+            "is_real_rooted", "is_square_free", "isolate_real_roots",
+        ),
+        "shape": (
+            "InternalConsistencyError", "ShapeVerdict", "is_log_concave",
+            "is_ultra_log_concave", "is_unimodal", "shape_report", "shape_summary",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value  # bound now, so later lookups skip this function
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

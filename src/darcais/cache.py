@@ -207,15 +207,22 @@ def _parse_lines(path: Path, data: bytes) -> dict[int, tuple[int, ...]]:
     return records
 
 
+def _format_record(n: int) -> bytes:
+    """The text of record n, formatted from its ints."""
+    record = polynomials.darcais_record(n)
+    return " ".join(map(str, record.numer_coeffs)).encode("ascii")
+
+
 def write_cache(path: str | Path, max_n: int) -> None:
     """Write records for n = 1..max_n (computing any that are missing).
 
-    A record loaded from a canonical file and not read since is written
-    as the bytes it was read as (polynomials.loaded_text); the others are
-    formatted from their ints, which gives the same bytes (module
-    docstring).  The records go to a temporary file beside the cache,
-    which then replaces it in one step: a writer that fails or dies
-    midway leaves the old cache untouched, never a truncated one.
+    A record loaded from a canonical file is written as the bytes it was
+    read as (polynomials.loaded_text), whether or not a computation has
+    converted it since; the others are formatted from their ints, which
+    gives the same bytes (module docstring).  The records go to a
+    temporary file beside the cache, which then replaces it in one step:
+    a writer that fails or dies midway leaves the old cache untouched,
+    never a truncated one.
     """
     if max_n < 1:
         raise ValueError("cache needs max_n >= 1")
@@ -227,8 +234,7 @@ def write_cache(path: str | Path, max_n: int) -> None:
             for n in range(1, max_n + 1):
                 text = polynomials.loaded_text(n)
                 if text is None:
-                    record = polynomials.darcais_record(n)
-                    text = " ".join(map(str, record.numer_coeffs)).encode("ascii")
+                    text = _format_record(n)
                 fh.write(b"%d: " % n)
                 fh.write(text)
                 fh.write(b"\n")

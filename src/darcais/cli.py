@@ -21,15 +21,21 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import cache as cache_mod
-from . import pf_tnn, polynomials, rootcert, shape
+from . import polynomials, shape
 from .cache import CacheError
-from .exactnum import ExactPoly, poly_divmod, primitive_int_coeffs
 from .reports import ARTIFACT_VERSION, CertReport
+
+# fractions, the rational polynomials (exactnum) and the root and PF
+# certificates are imported by the subcommands that use them, so that a
+# shape or poly --normalized process loads none of them
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .exactnum import ExactPoly
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -88,6 +94,8 @@ def _parse_poly_argument(value: str) -> ExactPoly:
     Tokens are rationals ("num/den" or plain integers), constant term
     first, whitespace separated.
     """
+    from .exactnum import ExactPoly
+
     source = value
     origin = "argument"
     if os.path.exists(value):
@@ -103,6 +111,8 @@ def _parse_poly_argument(value: str) -> ExactPoly:
 
 
 def _parse_rationals_csv(value: str, what: str) -> list[Fraction]:
+    from fractions import Fraction
+
     out = []
     for pos, tok in enumerate(value.split(","), start=1):
         try:
@@ -147,17 +157,23 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _parse_injection(value: str) -> dict[str, tuple[int, Fraction]]:
+    from fractions import Fraction
+
     parts = value.split(":")
     if len(parts) not in (2, 3):
         raise UsageError("--inject-error expects ROUTE:INDEX[:DELTA]")
-    route, index = parts[0], parts[1]
+    route = parts[0]
     delta = parts[2] if len(parts) == 3 else "1"
     if route not in polynomials.ROUTE_NAMES:
         raise UsageError(f"unknown route {route!r} in --inject-error")
     try:
-        return {route: (int(index), Fraction(delta))}
+        index, delta = int(parts[1]), Fraction(delta)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad --inject-error value {value!r}")
+    # a negative index would count from the top coefficient
+    if index < 0:
+        raise UsageError(f"--inject-error INDEX={index} is negative; coefficients start at 0")
+    return {route: (index, delta)}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -197,6 +213,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from . import rootcert
+    from .exactnum import primitive_int_coeffs
+
     if (args.n is None) == (args.poly is None):
         raise UsageError("choose exactly one of --n or --poly")
     if args.n is not None:
@@ -284,7 +305,21 @@ def cmd_roots(args: argparse.Namespace) -> int:
 # -- pf ----------------------------------------------------------------------
 
 
+def poly_divmod(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
+    """exactnum.poly_divmod, imported on first use.  cmd_pf divides through
+    this module-level name, which perfbench/tracer.py wraps as
+    cli.poly_divmod."""
+    from . import exactnum
+
+    return exactnum.poly_divmod(a, b)
+
+
 def cmd_pf(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from . import pf_tnn
+    from .exactnum import ExactPoly
+
     if (args.n is None) == (args.coeffs is None):
         raise UsageError("choose exactly one of --n or --coeffs")
     if args.n is not None:

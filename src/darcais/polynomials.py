@@ -56,13 +56,16 @@ from __future__ import annotations
 
 import math
 import time
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .exactnum import ExactPoly
 from .partitions import HookSelector, grow_rows, row_hooks
 from .plain import Frozen
 from .reports import CertReport
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .exactnum import ExactPoly
 
 # Feasibility defaults for the partition-sum routes, from one budget: each
 # bound is the largest n at which the route takes at most about 1 s (best
@@ -77,7 +80,7 @@ DEFAULT_ROUTE_BOUNDS: dict[str, int] = {
 
 # _SCALED[n] = coefficients of n! * P_n(x), constant term first (all ints);
 # a row seeded as record text and not read since is still that text
-# (seed_records), and _row converts it on first read.
+# (seed_records), and _row converts it on first read into a _ReadRow.
 _SCALED: list[tuple[int, ...] | bytes | memoryview] = [(1,)]
 # _Q_SCALED[n] = coefficients of n! * Q_n(z), constant term first (all ints).
 _Q_SCALED: list[tuple[int, ...]] = [(1,)]
@@ -109,12 +112,22 @@ def _ints(row: tuple[int, ...] | bytes | memoryview) -> tuple[int, ...]:
     return row if isinstance(row, tuple) else (0, *parse_record(row))
 
 
+class _ReadRow(tuple):
+    """A row seeded as record text and since read: its ints, as _ints
+    gives them, with the text kept as .text for loaded_text."""
+
+    def __new__(cls, text: bytes | memoryview):
+        row = super().__new__(cls, _ints(text))
+        row.text = text
+        return row
+
+
 def _row(table: list, i: int) -> tuple[int, ...]:
     """table[i] as ints; a row still held as text is converted on this
-    first read and stored back."""
+    first read and stored back, keeping its text."""
     row = table[i]
     if not isinstance(row, tuple):
-        row = table[i] = _ints(row)
+        row = table[i] = _ReadRow(row)
     return row
 
 
@@ -163,11 +176,12 @@ def scaled_coeffs(n: int) -> tuple[int, ...]:
 
 
 def loaded_text(n: int) -> bytes | memoryview | None:
-    """The text record n was seeded as, if no computation has read the
-    row since (it is still text in the memo); else None."""
-    if n < len(_SCALED) and not isinstance(_SCALED[n], tuple):
-        return _SCALED[n]
-    return None
+    """The text record n was seeded as, whether or not a computation has
+    read the row since; None for a row computed here or seeded as ints."""
+    if n >= len(_SCALED):
+        return None
+    row = _SCALED[n]
+    return getattr(row, "text", None) if isinstance(row, tuple) else row
 
 
 class DArcaisRecord(Frozen):
@@ -204,6 +218,10 @@ def darcais_record(n: int) -> DArcaisRecord:
 
 def darcais_poly(n: int) -> ExactPoly:
     """P_n(x) via the pentagonal recurrence, exact rational coefficients."""
+    from fractions import Fraction
+
+    from .exactnum import ExactPoly
+
     if n < 0:
         raise ValueError("index must be nonnegative")
     fact = math.factorial(n)
@@ -223,6 +241,10 @@ def q_scaled_coeffs(n: int) -> tuple[int, ...]:
 
 def q_poly(n: int) -> ExactPoly:
     """Q_n(x) = P_n(x + 1), the hook-length average polynomial."""
+    from fractions import Fraction
+
+    from .exactnum import ExactPoly
+
     fact = math.factorial(n)
     return ExactPoly(Fraction(c, fact) for c in q_scaled_coeffs(n))
 
@@ -237,9 +259,9 @@ def seed_records(
     of n positive decimals without leading zeros, single spaces, the last
     "1".  The caller vouches for that form (cache.read_cache proves it);
     such a row stays text until a computation first reads it, and
-    loaded_text hands it back unread.  Any overlap with values already
-    held is compared and a mismatch raises, so a stale or corrupted store
-    can never silently poison later computations.
+    loaded_text hands that text back, read or not.  Any overlap with
+    values already held is compared and a mismatch raises, so a stale or
+    corrupted store can never silently poison later computations.
     """
     for n in sorted(records):
         record = records[n]
@@ -315,6 +337,10 @@ def _hook_sum(n: int, selector: HookSelector, square: bool) -> ExactPoly:
     arm and leg computed for each cell, never by the closed forms of the
     trivial selectors, so they stay independent of the binomial route.
     """
+    from fractions import Fraction
+
+    from .exactnum import ExactPoly
+
     if n < 1:
         raise ValueError("partition sums are defined for n >= 1")
     exp = 2 if square else 1
@@ -364,6 +390,10 @@ def binomial_sum(n: int) -> ExactPoly:
     are grown one row at a time (grow_rows), and each step carries the
     multiplicity of the top part with the product.
     """
+    from fractions import Fraction
+
+    from .exactnum import ExactPoly
+
     if n < 1:
         raise ValueError("partition sums are defined for n >= 1")
     denom = math.factorial(n)
@@ -445,6 +475,10 @@ def verify_identity(
         candidate = _ROUTE_FUNCS[name](n)
         timings[name] = time.perf_counter() - start
         if tamper and name in tamper:
+            from fractions import Fraction
+
+            from .exactnum import ExactPoly
+
             index, delta = tamper[name]
             coeffs = list(candidate.coeffs)
             while len(coeffs) <= index:

@@ -8,7 +8,6 @@ the same input are byte-identical except for the timings field.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from .plain import Plain
@@ -60,6 +59,10 @@ class CertReport(Plain):
         return self.verdict == "pass"
 
     def to_json(self) -> str:
+        # imported here, where it is used: a shape table printed as CSV
+        # renders no report as JSON and so never loads json
+        import json
+
         return json.dumps(
             {
                 "schema": self.schema,

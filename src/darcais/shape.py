@@ -36,14 +36,16 @@ exact products.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import polynomials
 from .plain import Frozen
 from .reports import CertReport
 
-Number = Fraction | int
+if TYPE_CHECKING:  # annotations only: the integer sweep never loads fractions
+    from fractions import Fraction
+
+    Number = Fraction | int
 
 # entries are compared on this many leading bits before the exact products
 _FILTER_BITS = 64

@@ -46,7 +46,16 @@ def outcome(reader, path):
 
 def unread_rows():
     """The loaded rows still held as text."""
-    return {n for n in range(1, len(polynomials._SCALED)) if polynomials.loaded_text(n) is not None}
+    table = polynomials._SCALED
+    return {n for n in range(1, len(table)) if not isinstance(table[n], tuple)}
+
+
+def rows_read_extending(cached, max_n):
+    """The rows 1..cached that the recurrence reads to compute the rows
+    cached + 1..max_n."""
+    return {
+        m - j for m in range(cached + 1, max_n + 1) for j, _ in polynomials._pentagonal_terms(m)
+    } & set(range(1, cached + 1))
 
 
 class TestEquivalence:
@@ -162,6 +171,28 @@ class TestWriteBack:
         write_cache(path, 44)
         assert path.read_bytes() == cold
 
+    def test_converted_rows_are_written_as_read(self, capsys, tmp_path, fresh_memo,
+                                                monkeypatch):
+        cold = cold_bytes(tmp_path, 219)
+        fresh_memo()
+        path = tmp_path / "records.cache"
+        path.write_bytes(cold[: cold.index(b"\n216: ") + 1])
+        formatted = []
+        format_record = cache_mod._format_record
+
+        def spy(n):
+            formatted.append(n)
+            return format_record(n)
+
+        monkeypatch.setattr(cache_mod, "_format_record", spy)
+        code, _ = run(capsys, "poly", "--n", "219", "--normalized", "--cache", str(path))
+        assert code == EXIT_OK
+        converted = set(range(1, 216)) - unread_rows()
+        assert converted == rows_read_extending(215, 219)
+        assert len(converted) == 82
+        assert formatted == [216, 217, 218, 219]
+        assert path.read_bytes() == cold
+
 
 class TestRowsOnFirstUse:
     @pytest.fixture
@@ -184,11 +215,8 @@ class TestRowsOnFirstUse:
     def test_poly_converts_only_the_rows_the_recurrence_reads(self, capsys, cache60):
         code, out = run(capsys, "poly", "--n", "64", "--normalized", "--cache", str(cache60))
         assert code == EXIT_OK
-        read = {
-            m - j for m in range(61, 65) for j, _ in polynomials._pentagonal_terms(m)
-        }
         converted = set(range(1, 61)) - unread_rows()
-        assert converted == read & set(range(1, 61))
+        assert converted == rows_read_extending(60, 64)
         assert len(polynomials._SCALED) == 65
         assert out == " ".join(map(str, polynomials.darcais_record(64).numer_coeffs)) + "\n"
 
@@ -205,7 +233,9 @@ class TestRowsOnFirstUse:
 
     def test_a_text_row_converts_once(self, cache60):
         cache_mod.load_into_memo(cache60)
+        text = polynomials.loaded_text(30)
         first = polynomials.scaled_coeffs(30)
-        assert polynomials.loaded_text(30) is None
+        assert 30 not in unread_rows()
         assert polynomials.scaled_coeffs(30) is first
+        assert polynomials.loaded_text(30) is text  # kept for the cache writer
         assert first == (0, *read_cache_exact(cache60)[30])

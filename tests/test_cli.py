@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from darcais import cache as cache_mod
+from darcais import cli
 from darcais import polynomials, rootcert
 from darcais.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from darcais.pf_tnn import ToeplitzSeq, pf_test
@@ -111,6 +112,28 @@ class TestVerify:
         expected = Fraction(witness["expected"])
         actual = Fraction(witness["actual"])
         assert actual - expected == Fraction(1, 7)
+
+    @pytest.mark.parametrize("value", ["trivial_legs:-1", "trivial_legs:-2:5"])
+    def test_negative_injection_index_is_refused(self, capsys, value):
+        # it would count from the top coefficient; refused before n = 1
+        code, out, err = run(
+            capsys, "verify", "--conjecture", "1", "--max-n", "1", "--inject-error", value
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"INDEX={value.split(':')[1]}" in err
+
+    def test_injection_at_index_zero_fails_with_witness(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "verify", "--conjecture", "1", "--max-n", "1", "--inject-error", "trivial_legs:0",
+        )
+        assert code == EXIT_MATH_FAIL
+        (report,) = parse_lines(out)
+        (witness,) = report["witnesses"]
+        assert witness == {
+            "route": "trivial_legs", "coefficient_index": 0, "expected": "1", "actual": "2",
+        }
 
     def test_injection_route_must_exist(self, capsys):
         code, _, err = run(
@@ -231,6 +254,21 @@ class TestPF:
         code, _, err = run(capsys, "pf", "--coeffs", "1,-1")
         assert code == EXIT_USAGE
         assert "nonnegative" in err
+
+    def test_strip_linear_divides_through_the_module_name(self, capsys, monkeypatch):
+        # perfbench/tracer.py times the divisions by wrapping cli.poly_divmod;
+        # a name bound inside cmd_pf would bypass the wrapper
+        calls = []
+        divide = cli.poly_divmod
+
+        def spy(a, b):
+            calls.append(tuple(b.coeffs))
+            return divide(a, b)
+
+        monkeypatch.setattr(cli, "poly_divmod", spy)
+        code, _, _ = run(capsys, "pf", "--n", "10", "--strip-linear=-1")
+        assert code == EXIT_MATH_FAIL
+        assert calls == [(1, 1)]  # one division, by x + 1
 
     def test_stripped_numerator_witness(self, capsys):
         code, out, _ = run(capsys, "pf", "--n", "10", "--strip-linear=-1")

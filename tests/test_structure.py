@@ -262,3 +262,61 @@ def test_the_cli_imports_no_dataclasses():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert result.stdout.split() == []
+
+
+# run as `python -m darcais.cli ARGS` does, then name the modules loaded
+_RUN_AS_MAIN = """
+import runpy, sys
+sys.argv = ["darcais", *sys.argv[1:]]
+try:
+    runpy.run_module("darcais.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print("loaded:", *[m for m in {modules!r} if m in sys.modules])
+"""
+
+
+def test_shape_and_poly_jobs_import_only_integer_code(tmp_path):
+    # a shape sweep or a poly --normalized job computes on ints alone, and
+    # each job is a fresh process: json, fractions (which brings decimal)
+    # and the rational and certificate modules would only add start-up time
+    unused = ("json", "fractions", "decimal", "darcais.exactnum", "darcais.rootcert",
+              "darcais.pf_tnn")
+    path = tmp_path / "records.cache"
+    from darcais.cache import write_cache
+
+    write_cache(path, 3)  # so that poly reads, converts and extends a file
+    for argv in (
+        ["poly", "--n", "5", "--normalized", "--cache", str(path)],
+        ["shape", "--max-n", "5", "--cache", str(path)],
+        ["shape", "--max-n", "5"],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", _RUN_AS_MAIN.format(modules=unused), *argv],
+            env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout.splitlines()[-1].split() == ["loaded:"], argv
+    assert path.read_text().splitlines()[-1].startswith("5: ")  # poly extended it
+
+
+def test_lazy_exports_resolve_and_star_import_binds_them():
+    # darcais/__init__.py imports each exported name on first use; in a
+    # fresh process every name must resolve, bind under *, and be listed
+    script = """
+import darcais
+names = darcais.__all__
+assert len(names) == len(set(names)) == 44, names
+star = {}
+exec("from darcais import *", star)
+assert all(star[name] is getattr(darcais, name) for name in names)
+assert set(names) <= set(dir(darcais))
+assert not hasattr(darcais, "no_such_name")
+print(darcais.__version__)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout == "0.1.0\n"
