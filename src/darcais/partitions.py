@@ -13,8 +13,9 @@ cells with leg 0 (first kind) and hooks of cells with arm 0 (second
 kind).  They are exchanged by conjugation.
 
 The partition-sum routes do not build Partition objects: grow_rows walks
-the partitions of n one row at a time and carries their products, and
-row_hooks gives the hooks a selector keeps in each new row.
+the partitions of every size in a range one row at a time, in one walk,
+and carries their products; each route tests the arm and leg of the new
+row's cells itself.
 """
 
 from __future__ import annotations
@@ -125,55 +126,58 @@ def _trusted(parts: tuple[int, ...]) -> Partition:
 
 
 def grow_rows(
-    n: int,
+    lo: int,
+    hi: int,
     seed: State,
     grow: Callable[[State, int, int, list[int]], State],
-    finish: Callable[[State], int],
-) -> int:
-    """Sum of finish(state) over the partitions of n >= 1, each state
-    carried down a depth-first walk that builds the partition one row at a
-    time, bottom-up.
+    finish: Callable[[State, int], int],
+) -> list[int]:
+    """For each size n in [lo, hi] (1 <= lo <= hi), the sum of
+    finish(state, n) over the partitions of n, listed from n = lo; each
+    state is carried down one depth-first walk that builds the partitions
+    one row at a time, bottom-up.
 
-    Every step puts a row of p cells, p >= below (the row it sits on, 0
-    under the bottom row), on top of the rows placed so far and calls
-    grow(state, p, below, legs).  Those rows keep their arms and legs,
-    so grow only has to account for the new row: its cell in column j
-    (0-based) has arm p - 1 - j and leg legs[j], the number of rows
-    already placed that reach column j.  A row of p = rest, the cells
-    still to place, finishes one partition; a shorter one leaves at least
-    p cells for the rows above.  Each node of the walk is thus finished
-    by exactly one such top row, and every partition of n is reached
-    exactly once.  The depth is the number of parts.
+    Every node of the walk is a partition: the rows placed so far.  Its
+    children put a row of p cells, p >= below (the node's top row, 0 at
+    the empty root), on top and call grow(state, p, below, legs).  Rows
+    already placed keep their arms and legs, so grow only has to account
+    for the new row: its cell in column j (0-based) has arm p - 1 - j and
+    leg legs[j], the number of rows already placed that reach column j.
+    The rows of a partition, read bottom-up, are its parts in increasing
+    order, so each partition of size at most hi is one node, reached
+    exactly once; the depth is the number of parts.
+
+    A node of size n in [lo, hi] is finished.  A child of size s and top
+    row p is grown only if it is finished or can take another row
+    (s + p <= hi, since that row has at least p cells).  Such a node can
+    always be topped by a row of hi - s cells, so the walk grows exactly
+    the partitions of the sizes in [lo, hi] and the nodes they are built
+    up from, each once.  With lo = hi = n those are the nodes of a walk
+    over the partitions of n alone.
     """
-    legs = [0] * n
+    if not 1 <= lo <= hi:
+        raise ValueError(f"sizes must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
+    totals = [0] * (hi - lo + 1)
+    legs = [0] * hi
 
-    def place(state: State, below: int, rest: int) -> int:
-        total = finish(grow(state, rest, below, legs))
-        for p in range(below or 1, rest // 2 + 1):
+    def place(state: State, size: int, below: int) -> None:
+        room = hi - size
+        # rows that leave room for another row on top: grown and walked on
+        for p in range(below or 1, room // 2 + 1):
             child = grow(state, p, below, legs)
+            if size + p >= lo:
+                totals[size + p - lo] += finish(child, size + p)
             for j in range(p):
                 legs[j] += 1
-            total += place(child, p, rest - p)
+            place(child, size + p, p)
             for j in range(p):
                 legs[j] -= 1
-        return total
+        # wider rows end their partition: grown only where it is finished
+        for p in range(max(below, room // 2 + 1, lo - size), room + 1):
+            totals[size + p - lo] += finish(grow(state, p, below, legs), size + p)
 
-    return place(seed, 0, n)
-
-
-def row_hooks(p: int, legs: list[int], selector: HookSelector) -> list[int]:
-    """Hook lengths of the cells the selector keeps in a new top row of p
-    cells, where legs[j] counts the rows below that reach column j.
-
-    As in Partition.hooks, each cell is kept by testing the arm and leg
-    computed for it, not by the closed forms of the trivial selectors.
-    """
-    cells = zip(range(p - 1, -1, -1), legs)
-    if selector is HookSelector.TRIVIAL_LEG:
-        return [arm + leg + 1 for arm, leg in cells if not leg]
-    if selector is HookSelector.TRIVIAL_ARM:
-        return [arm + leg + 1 for arm, leg in cells if not arm]
-    return [arm + leg + 1 for arm, leg in cells]
+    place(seed, 0, 0)
+    return totals
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

@@ -12,8 +12,8 @@ from darcais.partitions import (
     Partition,
     enumerate_partitions,
     grow_rows,
-    row_hooks,
 )
+from darcais.polynomials import _hook_grow
 from oracles import (
     cells,
     conjugate,
@@ -211,44 +211,112 @@ def test_hooks_match_cell_reference(selector):
             assert p.hooks(selector).counts == reference_hooks(p, selector), (p, selector)
 
 
-def walked(n, selector=HookSelector.FULL):
-    """(parts, kept hooks) for every partition the row walk reaches, in
-    the order it reaches them: the rows are carried bottom-up with the
-    hooks row_hooks keeps in each, as the partition-sum routes carry them."""
+class Factors(tuple):
+    """A product kept as the list of its factors."""
+
+    def __mul__(self, factor):
+        return Factors((*self, factor))
+
+
+def walked(lo, hi, selector=HookSelector.FULL):
+    """(parts, factors) for every partition the row walk finishes, in the
+    order it finishes them: the rows are carried bottom-up with the hook
+    factors h^e that the route's own step (polynomials._hook_grow) keeps
+    for them, read at z = 0 from a product that records its factors."""
+    step = _hook_grow(selector, 0)
     reached = []
 
     def grow(carried, p, below, legs):
-        rows, kept = carried
+        rows, inner = carried
         assert p >= below and (not rows or rows[-1] == below)
-        return rows + (p,), kept + tuple(row_hooks(p, legs, selector))
+        return rows + (p,), step(inner, p, below, legs)
 
-    def finish(carried):
-        rows, kept = carried
-        reached.append((rows[::-1], kept))
+    def finish(carried, size):
+        rows, (factors, hook_prod) = carried
+        assert sum(rows) == size and math.prod(factors) == hook_prod
+        reached.append((rows[::-1], factors))
         return 1
 
-    assert grow_rows(n, ((), ()), grow, finish) == len(reached)
+    totals = grow_rows(lo, hi, ((), (Factors(), 1)), grow, finish)
+    sizes = Counter(sum(parts) for parts, _ in reached)
+    assert totals == [sizes[n] for n in range(lo, hi + 1)]  # listed from lo
     return reached
+
+
+def grown_nodes(lo, hi):
+    """The rows of every node the walk grows, bottom-up, in order."""
+    nodes = []
+
+    def grow(rows, p, below, legs):
+        nodes.append(rows + (p,))
+        return rows + (p,)
+
+    grow_rows(lo, hi, (), grow, lambda rows, size: 0)
+    return nodes
+
+
+def per_n_walk_grows(n):
+    """Steps of the walk over the partitions of n alone that the ranged
+    walk replaced: each node put the row of all its remaining cells on
+    top, and walked on under every row that left room for another."""
+
+    def place(below, rest):
+        return 1 + sum(1 + place(p, rest - p) for p in range(below or 1, rest // 2 + 1))
+
+    return place(0, n)
 
 
 class TestRowWalk:
     def test_each_partition_is_reached_exactly_once(self):
         for n in range(1, 31):
-            reached = [parts for parts, _ in walked(n)]
+            reached = [parts for parts, _ in walked(n, n)]
             assert len(reached) == partition_count(n), n
             assert len(set(reached)) == len(reached), n
             for parts in reached:
                 assert sum(parts) == n
                 assert Partition(parts).parts == parts  # positive, weakly decreasing
 
+    def test_every_size_in_a_range_is_finished_once_per_partition(self):
+        for hi in range(1, 13):
+            for lo in range(1, hi + 1):
+                reached = [parts for parts, _ in walked(lo, hi)]
+                assert len(set(reached)) == len(reached), (lo, hi)
+                expected = {p.parts for n in range(lo, hi + 1) for p in enumerate_partitions(n)}
+                assert set(reached) == expected, (lo, hi)
+
+    def test_the_walk_grows_only_nodes_that_lead_to_the_range(self):
+        # a node is grown once, and only if it is a partition of a size in
+        # [lo, hi] or the rows below one
+        for hi in range(1, 13):
+            for lo in range(1, hi + 1):
+                nodes = grown_nodes(lo, hi)
+                assert len(set(nodes)) == len(nodes), (lo, hi)
+                needed = {
+                    p.parts[::-1][:k]
+                    for n in range(lo, hi + 1)
+                    for p in enumerate_partitions(n)
+                    for k in range(1, len(p.parts) + 1)
+                }
+                assert set(nodes) == needed, (lo, hi)
+
+    def test_a_single_size_grows_no_more_than_the_per_n_walk(self):
+        for n in range(1, 31):
+            assert len(grown_nodes(n, n)) == per_n_walk_grows(n), n
+
+    def test_invalid_ranges_are_rejected(self):
+        for lo, hi in ((0, 3), (4, 3), (-1, -1)):
+            with pytest.raises(ValueError):
+                grow_rows(lo, hi, None, lambda *args: None, lambda *args: 0)
+
     @pytest.mark.parametrize("selector", list(HookSelector))
     def test_kept_hooks_match_partition_hooks(self, selector):
         # a swapped leg/arm test would pass every sum-level check, as both
         # trivial sums equal Q_n by conjugation; compare partition by partition
-        for n in range(1, 13):
-            for parts, kept in walked(n, selector):
-                counts = tuple(sorted(Counter(kept).items()))
-                assert counts == Partition(parts).hooks(selector).counts, (parts, selector)
+        exp = 2 if selector is HookSelector.FULL else 1
+        for parts, factors in walked(1, 12, selector):
+            counts = tuple(sorted(Counter(factors).items()))
+            hooks = Partition(parts).hooks(selector).counts
+            assert counts == tuple((h**exp, m) for h, m in hooks), (parts, selector)
 
 
 class TestMultiplicityVector:

@@ -10,7 +10,9 @@ from darcais import polynomials
 from darcais.exactnum import ExactPoly
 from darcais.partitions import HookSelector, enumerate_partitions
 from darcais.polynomials import (
+    _binomial_sums,
     _exact_quotient,
+    _hook_sum,
     _read_slots,
     DArcaisRecord,
     ROUTE_NAMES,
@@ -241,6 +243,31 @@ class TestHookRoutes:
         # the largest n the benchmark's verify jobs run each route at
         assert route(n) == oracle(n)
 
+    @pytest.mark.parametrize(
+        "walk, oracle, exp, top",
+        [
+            pytest.param(lambda lo, hi: _hook_sum(lo, hi, HookSelector.FULL),
+                         lambda n: hook_sum_convolve(n, HookSelector.FULL, True), 2, 22,
+                         id="full_hooks"),
+            pytest.param(lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_LEG),
+                         lambda n: hook_sum_convolve(n, HookSelector.TRIVIAL_LEG, False), 1,
+                         26, id="trivial_legs"),
+            pytest.param(lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_ARM),
+                         lambda n: hook_sum_convolve(n, HookSelector.TRIVIAL_ARM, False), 1,
+                         26, id="trivial_arms"),
+            pytest.param(_binomial_sums, binomial_sum_convolve, 1, 26, id="binomials"),
+        ],
+    )
+    def test_one_walk_matches_expanded_products_at_every_size(self, walk, oracle, exp, top):
+        # one slot, sized for top, holds every smaller size's coefficients
+        rows = walk(1, top)
+        assert len(rows) == top
+        for n, row in enumerate(rows, start=1):
+            denom = math.factorial(n) ** exp
+            assert ExactPoly(Fraction(c, denom) for c in row) == oracle(n), n
+        # a walk over part of the range gives the same rows
+        assert walk(top - 5, top - 2) == rows[top - 6:top - 2]
+
     def test_read_slots_round_trips_full_slots(self):
         slot = 7
         coeffs = [0, (1 << slot) - 1, 5, (1 << slot) - 1]
@@ -297,6 +324,38 @@ class TestVerifyIdentity:
         assert witness["route"] == "binomials"
         assert witness["coefficient_index"] == 2
         assert Fraction(witness["actual"]) - Fraction(witness["expected"]) == Fraction(1, 7)
+
+    def test_negative_tamper_index_is_rejected(self):
+        # it would count from the top coefficient
+        with pytest.raises(ValueError, match="negative"):
+            verify_identity(1, ["trivial_legs"], tamper={"trivial_legs": (-1, 1)})
+
+    def test_the_largest_n_first_walks_each_route_once(self, monkeypatch):
+        for name in ROUTE_NAMES:
+            monkeypatch.setitem(polynomials._ROUTE_ROWS, name, [(1,)])
+        walks = []
+        walk = polynomials.grow_rows
+
+        def counted(lo, hi, *args):
+            walks.append((lo, hi))
+            return walk(lo, hi, *args)
+
+        monkeypatch.setattr(polynomials, "grow_rows", counted)
+        reports = [verify_identity(n, ROUTE_NAMES) for n in (12, *range(1, 12))]
+        assert all(report.passed for report in reports)
+        assert walks == [(1, 12)] * len(ROUTE_NAMES)
+        # a larger n walks only the sizes the rows lack
+        assert verify_identity(14, ["binomials"]).passed
+        assert walks[-1] == (13, 14)
+
+    def test_walk_that_disagrees_with_the_route_at_n_alone_raises(self, monkeypatch):
+        # binomial rows are n! * Q_n, the recurrence's own rows; row 3 is off by z
+        rows = [q_scaled_coeffs(n) for n in range(3)]
+        bad = list(q_scaled_coeffs(3))
+        bad[1] += 1
+        monkeypatch.setitem(polynomials._ROUTE_ROWS, "binomials", [*rows, tuple(bad)])
+        with pytest.raises(ArithmeticError, match="disagree"):
+            verify_identity(3, ["binomials"])
 
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):

@@ -300,6 +300,23 @@ def test_shape_and_poly_jobs_import_only_integer_code(tmp_path):
     assert path.read_text().splitlines()[-1].startswith("5: ")  # poly extended it
 
 
+def test_verify_jobs_import_only_integer_code():
+    # a verify job compares integer rows and builds a Fraction only for a
+    # witness, so a run that passes loads neither the rational arithmetic
+    # nor the root and PF certificates (it prints JSON, so json is loaded)
+    unused = ("fractions", "decimal", "darcais.exactnum", "darcais.rootcert",
+              "darcais.pf_tnn")
+    argv = ["verify", "--conjecture", "corollary", "--max-n", "8"]
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN.format(modules=unused), *argv],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    *reports, loaded = result.stdout.splitlines()
+    assert len(reports) == 8
+    assert loaded.split() == ["loaded:"]
+
+
 def test_lazy_exports_resolve_and_star_import_binds_them():
     # darcais/__init__.py imports each exported name on first use; in a
     # fresh process every name must resolve, bind under *, and be listed
