@@ -199,16 +199,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--inject-error route {route!r} is not run by --conjecture "
             f"{args.conjecture}, which runs: {', '.join(routes)}"
         )
-    # verify_identity keeps each route's rows: asked for max_n first, it
-    # walks each route once over every n up to max_n, and the reports for
-    # the smaller n read their rows from that walk.  They print in order of n
-    last = polynomials.verify_identity(
+    for report in polynomials.verify_up_to(
         args.max_n, routes=routes, bounds=bounds, tamper=tamper
-    )
-    for n in range(1, args.max_n + 1):
-        report = last if n == args.max_n else polynomials.verify_identity(
-            n, routes=routes, bounds=bounds, tamper=tamper
-        )
+    ):
         _print_report(report)
         if not report.passed:
             return EXIT_MATH_FAIL

@@ -47,7 +47,8 @@ This module computes P_n / Q_n by several genuinely different routes:
     hooks, and part multiplicities (binomial products).
 
 verify_identity cross-checks any selection of routes against the
-recurrence coefficient by coefficient, exactly.  The oracles the
+recurrence coefficient by coefficient, exactly; verify_up_to does so for
+every n up to a bound, walking each route once.  The oracles the
 recurrence itself is checked against, the power series and the
 divisor-sum recursion, live with the tests.
 """
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .partitions import HookSelector, grow_rows
 from .plain import Frozen
@@ -426,137 +427,119 @@ def _binomial_sums(lo: int, hi: int) -> list[tuple[int, ...]]:
     return _packed_sums(lo, hi, 1, (1, 1, 0), _binomial_grow)
 
 
-def _as_poly(rows: list[tuple[int, ...]], denom: int) -> ExactPoly:
-    """The one row of rows, divided by denom, as a rational polynomial."""
+def _as_poly(row: tuple[int, ...], denom: int) -> ExactPoly:
+    """row, divided by denom, as a rational polynomial."""
     from fractions import Fraction
 
     from .exactnum import ExactPoly
 
-    (row,) = rows
     return ExactPoly(Fraction(c, denom) for c in row)
 
 
-def hook_sum_full(n: int) -> ExactPoly:
+class _Route:
+    """A partition-sum route for Q_n, public under its name.
+
+    rows(lo, hi) walks once over the sizes in [lo, hi] and lists, from lo,
+    each n's integer coefficients of n!^exp * Q_n, constant term first.
+    Called with n, the route gives Q_n itself, as rationals: the lo = hi = n
+    case of that walk.
+    """
+
+    def __init__(self, name: str, rows: Callable, exp: int, doc: str):
+        self.__name__ = self.__qualname__ = name
+        self.__doc__ = doc
+        self.rows = rows
+        self.exp = exp
+
+    def __call__(self, n: int) -> ExactPoly:
+        (row,) = self.rows(n, n)
+        return _as_poly(row, math.factorial(n) ** self.exp)
+
+
+hook_sum_full = _Route(
+    "hook_sum_full", lambda lo, hi: _hook_sum(lo, hi, HookSelector.FULL), 2,
     """Q_n(z) as the Nekrasov-Okounkov sum over all hooks:
-    sum_lambda prod_{h in H(lambda)} (1 + z / h^2)."""
-    return _as_poly(_hook_sum(n, n, HookSelector.FULL), math.factorial(n) ** 2)
+    sum_lambda prod_{h in H(lambda)} (1 + z / h^2).""",
+)
 
-
-def hook_sum_trivial_leg(n: int) -> ExactPoly:
+hook_sum_trivial_leg = _Route(
+    "hook_sum_trivial_leg", lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_LEG), 1,
     """Q_n(z) as the refined sum over trivial-leg hooks:
-    sum_lambda prod_{h in H1(lambda)} (1 + z / h)."""
-    return _as_poly(_hook_sum(n, n, HookSelector.TRIVIAL_LEG), math.factorial(n))
+    sum_lambda prod_{h in H1(lambda)} (1 + z / h).""",
+)
 
+hook_sum_trivial_arm = _Route(
+    "hook_sum_trivial_arm", lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_ARM), 1,
+    """Q_n(z) as the conjugate refined sum over trivial-arm hooks.""",
+)
 
-def hook_sum_trivial_arm(n: int) -> ExactPoly:
-    """Q_n(z) as the conjugate refined sum over trivial-arm hooks."""
-    return _as_poly(_hook_sum(n, n, HookSelector.TRIVIAL_ARM), math.factorial(n))
-
-
-def binomial_sum(n: int) -> ExactPoly:
+binomial_sum = _Route(
+    "binomial_sum", _binomial_sums, 1,
     """Q_n(z) as a sum of binomial products over part multiplicities:
     sum_lambda prod_j C(k_j + z, k_j), where k_j counts parts equal to j.
 
     Equivalent to the trivial-leg form through the multiplicity encoding
-    of partitions, but dramatically cheaper per partition.
-    """
-    return _as_poly(_binomial_sums(n, n), math.factorial(n))
+    of partitions, but dramatically cheaper per partition.""",
+)
 
 
 # -- cross-route verification -------------------------------------------------
 
-# name -> (the route's Q_n, as its public function computes it at n alone;
-# its rows n!^e * Q_n over a range [lo, hi]; e)
-_ROUTES: dict[str, tuple[Callable[[int], ExactPoly], Callable, int]] = {
-    "full_hooks": (hook_sum_full, lambda lo, hi: _hook_sum(lo, hi, HookSelector.FULL), 2),
-    "trivial_legs": (
-        hook_sum_trivial_leg, lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_LEG), 1
-    ),
-    "trivial_arms": (
-        hook_sum_trivial_arm, lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_ARM), 1
-    ),
-    "binomials": (binomial_sum, _binomial_sums, 1),
+_ROUTES: dict[str, _Route] = {
+    "full_hooks": hook_sum_full,
+    "trivial_legs": hook_sum_trivial_leg,
+    "trivial_arms": hook_sum_trivial_arm,
+    "binomials": binomial_sum,
 }
 
 ROUTE_NAMES: tuple[str, ...] = tuple(_ROUTES)
 
-# _ROUTE_ROWS[name][n] = the route's n!^e * Q_n, as verify_identity has
-# walked it so far; row 0 is Q_0 = 1 for every route
-_ROUTE_ROWS: dict[str, list[tuple[int, ...]]] = {name: [(1,)] for name in _ROUTES}
 
-
-def _route_row(name: str, n: int) -> tuple[int, ...]:
-    """Row n of the route's table; a table short of n is extended by one
-    walk over every size it lacks."""
-    rows = _ROUTE_ROWS[name]
-    if len(rows) <= n:
-        rows += _ROUTES[name][1](len(rows), n)
-    return rows[n]
-
-
-def _rational_witness(
-    name: str, n: int, injected: tuple[int, Fraction] | None
+def _witness(
+    name: str,
+    n: int,
+    baseline: tuple[int, ...],
+    row: tuple[int, ...],
+    exp: int,
+    injected: tuple[int, Fraction] | None,
 ) -> dict[str, object] | None:
-    """The first coefficient in which the route's Q_n, computed at n alone
-    by its public function and perturbed by injected (index, delta) if
-    given, differs from the recurrence's; None if none does."""
-    from fractions import Fraction
+    """The first coefficient in which the route's Q_n, its row n!^exp * Q_n
+    plus injected (index, delta) * z^index if given, differs from the
+    recurrence's, baseline = n! * Q_n; None if none does.
 
+    Without an injection the rows are compared as integers, the route's
+    against n!^(exp-1) times baseline; rationals are built only to name a
+    differing coefficient.
+    """
+    fact = math.factorial(n)
+    if injected is None and row == tuple(fact ** (exp - 1) * c for c in baseline):
+        return None
     from .exactnum import ExactPoly
 
-    baseline = q_poly(n)
-    candidate = _ROUTES[name][0](n)
+    expected = _as_poly(baseline, fact)
+    actual = _as_poly(row, fact**exp)
     if injected is not None:
         index, delta = injected
-        coeffs = list(candidate.coeffs)
-        while len(coeffs) <= index:
-            coeffs.append(Fraction(0))
-        coeffs[index] += Fraction(delta)
-        candidate = ExactPoly(coeffs)
-    if candidate == baseline:
+        actual += ExactPoly([0] * index + [delta])
+    if actual == expected:
         return None
-    limit = max(len(candidate.coeffs), len(baseline.coeffs))
-    k = next(k for k in range(limit) if candidate.coefficient(k) != baseline.coefficient(k))
+    limit = max(len(actual.coeffs), len(expected.coeffs))
+    k = next(k for k in range(limit) if actual.coefficient(k) != expected.coefficient(k))
     return {
         "route": name,
         "coefficient_index": k,
-        "expected": str(baseline.coefficient(k)),
-        "actual": str(candidate.coefficient(k)),
+        "expected": str(expected.coefficient(k)),
+        "actual": str(actual.coefficient(k)),
     }
 
 
-def verify_identity(
-    n: int,
+def _checked(
     routes: Iterable[str],
-    bounds: Mapping[str, int] | None = None,
-    tamper: Mapping[str, tuple[int, Fraction]] | None = None,
-) -> CertReport:
-    """Check the requested routes against the recurrence, coefficient-exact.
-
-    Every requested route recomputes Q_n independently and is compared to
-    the recurrence baseline (named "recursion" in the report) term by
-    term: the route's integer row n!^e * Q_n against n!^(e-1) times the
-    recurrence's n! * Q_n.  A route whose feasibility bound is below n is
-    reported as skipped (with the bound), never silently dropped.  The
-    report's verdict is "pass" only if no computed route disagrees.
-
-    Each route keeps the rows it has walked, as the recurrence keeps its
-    table.  A route asked for an n past them walks once over every size it
-    lacks up to n, so asking for the largest n first makes one walk serve
-    every smaller n; the report that walks holds the walk's seconds.
-
-    A route that disagrees is computed again at n alone by its public
-    function, as rationals, and the witness is the first coefficient in
-    which that differs from the recurrence's Q_n; if it does not differ,
-    the two walks disagree, and that raises.
-
-    tamper injects an error into a named route's output (coefficient
-    index >= 0, delta) before comparison, taking the route down the
-    rational path; it exists so the failure path can be exercised by
-    tests and stays out of ordinary use.
-    """
-    if n < 1:
-        raise ValueError("identity verification is defined for n >= 1")
+    bounds: Mapping[str, int] | None,
+    tamper: Mapping[str, tuple[int, Fraction]] | None,
+) -> tuple[list[str], dict[str, int], Mapping[str, tuple[int, Fraction]]]:
+    """The requested routes, each route's feasibility bound and the
+    injections, once they are checked."""
     requested = list(routes)
     for name in requested:
         if name not in _ROUTES:
@@ -571,45 +554,124 @@ def verify_identity(
     limits = dict(DEFAULT_ROUTE_BOUNDS)
     if bounds:
         limits.update(bounds)
+    return requested, limits, tamper
 
-    timings: dict[str, float] = {}
-    start = time.perf_counter()
-    baseline = q_scaled_coeffs(n)
-    timings["recursion"] = time.perf_counter() - start
-    fact = math.factorial(n)
 
-    route_status: dict[str, dict[str, str]] = {}
-    witnesses: list[dict[str, object]] = []
+def _reports(
+    lo: int,
+    hi: int,
+    requested: list[str],
+    limits: Mapping[str, int],
+    tamper: Mapping[str, tuple[int, Fraction]],
+) -> Iterator[CertReport]:
+    """The reports for n = lo..hi, in order of n, up to the first that fails.
+
+    Each requested route walks once, over [lo, min(hi, its bound)], before
+    the first report; that report's timings hold each walk's seconds, and
+    the later ones hold 0.0 for a route, whose rows came from its walk.
+    Each report's "recursion" is the seconds spent extending the
+    recurrence's table to its n.
+    """
+    walks: dict[str, tuple[list[tuple[int, ...]], float]] = {}
     for name in requested:
         bound = limits.get(name)
-        if bound is not None and n > bound:
-            route_status[name] = {
-                "status": "skipped",
-                "reason": f"n={n} exceeds feasibility bound {bound}",
-            }
-            continue
-        start = time.perf_counter()
-        row = _route_row(name, n)
-        timings[name] = time.perf_counter() - start
-        scale = fact ** (_ROUTES[name][2] - 1)
-        if name not in tamper and row == tuple(scale * c for c in baseline):
-            route_status[name] = {"status": "pass"}
-            continue
-        witness = _rational_witness(name, n, tamper.get(name))
-        if witness is None and name not in tamper:
-            raise ArithmeticError(
-                f"route {name} at n={n}: its walked row disagrees with the "
-                "recurrence, its walk at n alone does not"
-            )
-        route_status[name] = {"status": "pass" if witness is None else "fail"}
-        if witness is not None:
-            witnesses.append(witness)
+        top = hi if bound is None else min(hi, bound)
+        if top >= lo:
+            start = time.perf_counter()
+            rows = _ROUTES[name].rows(lo, top)
+            walks[name] = rows, time.perf_counter() - start
 
-    return CertReport(
-        kind="identity",
-        target={"n": n},
-        verdict="fail" if witnesses else "pass",
-        details={"baseline": "recursion", "routes": route_status},
-        witnesses=witnesses,
-        timings=timings,
-    )
+    for n in range(lo, hi + 1):
+        timings: dict[str, float] = {}
+        start = time.perf_counter()
+        baseline = q_scaled_coeffs(n)
+        timings["recursion"] = time.perf_counter() - start
+
+        route_status: dict[str, dict[str, str]] = {}
+        witnesses: list[dict[str, object]] = []
+        for name in requested:
+            bound = limits.get(name)
+            if bound is not None and n > bound:
+                route_status[name] = {
+                    "status": "skipped",
+                    "reason": f"n={n} exceeds feasibility bound {bound}",
+                }
+                continue
+            rows, seconds = walks[name]
+            timings[name] = seconds if n == lo else 0.0
+            witness = _witness(
+                name, n, baseline, rows[n - lo], _ROUTES[name].exp, tamper.get(name)
+            )
+            route_status[name] = {"status": "pass" if witness is None else "fail"}
+            if witness is not None:
+                witnesses.append(witness)
+
+        report = CertReport(
+            kind="identity",
+            target={"n": n},
+            verdict="fail" if witnesses else "pass",
+            details={"baseline": "recursion", "routes": route_status},
+            witnesses=witnesses,
+            timings=timings,
+        )
+        yield report
+        if witnesses:
+            return
+
+
+def verify_identity(
+    n: int,
+    routes: Iterable[str],
+    bounds: Mapping[str, int] | None = None,
+    tamper: Mapping[str, tuple[int, Fraction]] | None = None,
+) -> CertReport:
+    """Check the requested routes against the recurrence, coefficient-exact.
+
+    Every requested route recomputes Q_n independently, walking the
+    partitions of n alone, and is compared to the recurrence baseline
+    (named "recursion" in the report) term by term: the route's integer
+    row n!^e * Q_n against n!^(e-1) times the recurrence's n! * Q_n.  A
+    route whose feasibility bound is below n is reported as skipped (with
+    the bound), never silently dropped.  The report's verdict is "pass"
+    only if no computed route disagrees; a route that does names the first
+    coefficient in which its Q_n differs from the recurrence's.
+
+    tamper injects an error into a named route's output (coefficient
+    index >= 0, delta) before comparison; it exists so the failure path
+    can be exercised by tests and stays out of ordinary use.
+    """
+    if n < 1:
+        raise ValueError("identity verification is defined for n >= 1")
+    (report,) = _reports(n, n, *_checked(routes, bounds, tamper))
+    return report
+
+
+def verify_up_to(
+    max_n: int,
+    routes: Iterable[str],
+    bounds: Mapping[str, int] | None = None,
+    tamper: Mapping[str, tuple[int, Fraction]] | None = None,
+) -> Iterator[CertReport]:
+    """The reports verify_identity gives for n = 1..max_n, in order of n,
+    up to and including the first that fails.
+
+    Each route walks once, over every n up to min(max_n, its bound): the
+    rows the walk places bottom-up always form a partition, and no later
+    row changes their hooks, so one walk finishes every smaller size on
+    the way.  The first report's timings hold each walk's seconds.
+
+    An injected error fails its route at the first n the route runs at,
+    n = 1, so with tamper that report is verify_identity's at n = 1 alone,
+    and the walks over 2..max_n are made only if it passes.
+    """
+    if max_n < 1:
+        raise ValueError("identity verification is defined for n >= 1")
+    checked = _checked(routes, bounds, tamper)
+    lo = 1
+    if tamper:
+        first = verify_identity(1, *checked)
+        yield first
+        if not first.passed:
+            return
+        lo = 2
+    yield from _reports(lo, max_n, *checked)

@@ -11,7 +11,6 @@ from darcais import cache as cache_mod
 from darcais import cli
 from darcais import polynomials, rootcert
 from darcais.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
-from darcais.exactnum import ExactPoly
 from darcais.pf_tnn import ToeplitzSeq, pf_test
 from darcais.polynomials import darcais_record
 from darcais.rootcert import SturmChain
@@ -70,6 +69,19 @@ class TestPoly:
 
 
 class TestVerify:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The (lo, hi) of every partition walk the test makes, in order."""
+        made = []
+        walk = polynomials.grow_rows
+
+        def counted(lo, hi, *args):
+            made.append((lo, hi))
+            return walk(lo, hi, *args)
+
+        monkeypatch.setattr(polynomials, "grow_rows", counted)
+        return made
+
     def test_proven_identity_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--conjecture", "1", "--max-n", "8")
         assert code == EXIT_OK
@@ -158,43 +170,30 @@ class TestVerify:
         if route != "series":  # no longer a route at all
             assert "trivial_legs" in err
 
-    def test_each_route_is_walked_once(self, capsys, monkeypatch):
-        for name in polynomials.ROUTE_NAMES:
-            monkeypatch.setitem(polynomials._ROUTE_ROWS, name, [(1,)])
-        walks = []
-        walk = polynomials.grow_rows
-
-        def counted(lo, hi, *args):
-            walks.append((lo, hi))
-            return walk(lo, hi, *args)
-
-        monkeypatch.setattr(polynomials, "grow_rows", counted)
+    def test_each_route_is_walked_once(self, capsys, walks):
         code, out, _ = run(capsys, "verify", "--conjecture", "corollary", "--max-n", "8")
         assert code == EXIT_OK
         assert [r["target"]["n"] for r in parse_lines(out)] == list(range(1, 9))
         assert walks == [(1, 8), (1, 8)]  # trivial arms, then binomials
 
     def test_a_failing_n_ends_the_output(self, capsys, monkeypatch):
-        # binomials off by z^2/7 at n = 5 alone, in its walk and at n alone
-        def wrong(n):
-            coeffs = list(polynomials.q_poly(n).coeffs)
-            if n == 5:
-                coeffs[2] += Fraction(1, 7)
-            return ExactPoly(coeffs)
-
+        # binomial rows are n! * Q_n, the recurrence's own; row 5 is off by z^2/5!
         def wrong_rows(lo, hi):
-            rows = [polynomials.q_scaled_coeffs(n) for n in range(lo, hi + 1)]
-            return [row if n != 5 else (0,) for n, row in enumerate(rows, start=lo)]
+            rows = [list(polynomials.q_scaled_coeffs(n)) for n in range(lo, hi + 1)]
+            if lo <= 5 <= hi:
+                rows[5 - lo][2] += 1
+            return [tuple(row) for row in rows]
 
-        monkeypatch.setitem(polynomials._ROUTES, "binomials", (wrong, wrong_rows, 1))
-        monkeypatch.setitem(polynomials._ROUTE_ROWS, "binomials", [(1,)])
+        monkeypatch.setattr(polynomials.binomial_sum, "rows", wrong_rows)
         code, out, _ = run(capsys, "verify", "--conjecture", "corollary", "--max-n", "8")
         assert code == EXIT_MATH_FAIL
         reports = parse_lines(out)
         assert [r["verdict"] for r in reports] == ["pass"] * 4 + ["fail"]
         (witness,) = reports[-1]["witnesses"]
         assert witness["route"] == "binomials" and witness["coefficient_index"] == 2
-        assert Fraction(witness["actual"]) - Fraction(witness["expected"]) == Fraction(1, 7)
+        expected = polynomials.q_poly(5).coefficient(2)
+        assert Fraction(witness["expected"]) == expected
+        assert Fraction(witness["actual"]) - expected == Fraction(1, 120)
 
     def test_max_n_must_be_positive(self, capsys):
         code, _, _ = run(capsys, "verify", "--conjecture", "1", "--max-n", "0")

@@ -27,6 +27,7 @@ from darcais.polynomials import (
     scaled_coeffs,
     seed_records,
     verify_identity,
+    verify_up_to,
 )
 from oracles import (
     binomial,
@@ -289,6 +290,20 @@ class TestHookRoutes:
             _exact_quotient(math.factorial(6), 7)
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The (lo, hi) of every partition walk the test makes, in order."""
+    made = []
+    walk = polynomials.grow_rows
+
+    def counted(lo, hi, *args):
+        made.append((lo, hi))
+        return walk(lo, hi, *args)
+
+    monkeypatch.setattr(polynomials, "grow_rows", counted)
+    return made
+
+
 class TestVerifyIdentity:
     def test_all_routes_pass_n10(self):
         report = verify_identity(10, ROUTE_NAMES)
@@ -330,32 +345,10 @@ class TestVerifyIdentity:
         with pytest.raises(ValueError, match="negative"):
             verify_identity(1, ["trivial_legs"], tamper={"trivial_legs": (-1, 1)})
 
-    def test_the_largest_n_first_walks_each_route_once(self, monkeypatch):
-        for name in ROUTE_NAMES:
-            monkeypatch.setitem(polynomials._ROUTE_ROWS, name, [(1,)])
-        walks = []
-        walk = polynomials.grow_rows
+    def test_a_single_n_walks_that_n_alone(self, walks):
+        assert verify_identity(12, ROUTE_NAMES).passed
+        assert walks == [(12, 12)] * len(ROUTE_NAMES)
 
-        def counted(lo, hi, *args):
-            walks.append((lo, hi))
-            return walk(lo, hi, *args)
-
-        monkeypatch.setattr(polynomials, "grow_rows", counted)
-        reports = [verify_identity(n, ROUTE_NAMES) for n in (12, *range(1, 12))]
-        assert all(report.passed for report in reports)
-        assert walks == [(1, 12)] * len(ROUTE_NAMES)
-        # a larger n walks only the sizes the rows lack
-        assert verify_identity(14, ["binomials"]).passed
-        assert walks[-1] == (13, 14)
-
-    def test_walk_that_disagrees_with_the_route_at_n_alone_raises(self, monkeypatch):
-        # binomial rows are n! * Q_n, the recurrence's own rows; row 3 is off by z
-        rows = [q_scaled_coeffs(n) for n in range(3)]
-        bad = list(q_scaled_coeffs(3))
-        bad[1] += 1
-        monkeypatch.setitem(polynomials._ROUTE_ROWS, "binomials", [*rows, tuple(bad)])
-        with pytest.raises(ArithmeticError, match="disagree"):
-            verify_identity(3, ["binomials"])
 
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):
@@ -364,6 +357,48 @@ class TestVerifyIdentity:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             verify_identity(0, ROUTE_NAMES)
+
+
+class TestVerifyUpTo:
+    @staticmethod
+    def untimed(report):
+        return report.target, report.verdict, report.details, report.witnesses
+
+    def test_each_route_walks_once_and_each_n_matches_verify_identity(self, walks):
+        reports = list(verify_up_to(12, ROUTE_NAMES))
+        assert walks == [(1, 12)] * len(ROUTE_NAMES)
+        assert [r.target["n"] for r in reports] == list(range(1, 13))
+        assert all(report.passed for report in reports)
+        for n, report in enumerate(reports, start=1):
+            assert self.untimed(report) == self.untimed(verify_identity(n, ROUTE_NAMES))
+        # the first report holds each walk's seconds, the later ones none
+        assert all(reports[0].timings[name] > 0 for name in ROUTE_NAMES)
+        assert all(r.timings[name] == 0.0 for r in reports[1:] for name in ROUTE_NAMES)
+
+    def test_a_route_walks_only_up_to_its_bound(self, walks):
+        reports = list(verify_up_to(10, ["full_hooks"], bounds={"full_hooks": 6}))
+        assert walks == [(1, 6)]
+        statuses = [r.details["routes"]["full_hooks"]["status"] for r in reports]
+        assert statuses == ["pass"] * 6 + ["skipped"] * 4
+
+    def test_an_injected_error_ends_the_reports_at_n_1(self, walks):
+        tamper = {"binomials": (2, Fraction(1, 7))}
+        (report,) = verify_up_to(30, ["trivial_legs", "binomials"], tamper=tamper)
+        assert walks == [(1, 1), (1, 1)]
+        assert self.untimed(report) == self.untimed(
+            verify_identity(1, ["trivial_legs", "binomials"], tamper=tamper)
+        )
+        assert not report.passed
+
+    def test_an_injection_that_cancels_walks_the_rest_once(self, walks):
+        reports = list(verify_up_to(5, ["binomials"], tamper={"binomials": (0, 0)}))
+        assert walks == [(1, 1), (2, 5)]
+        assert [r.target["n"] for r in reports] == [1, 2, 3, 4, 5]
+        assert all(report.passed for report in reports)
+
+    def test_invalid_max_n(self):
+        with pytest.raises(ValueError):
+            list(verify_up_to(0, ROUTE_NAMES))
 
 
 class TestSeeding:
