@@ -36,10 +36,8 @@ _EXPORTS = {
             "contiguous_minor_spec", "pf_test", "toeplitz_minor",
         ),
         "polynomials": (
-            "DArcaisRecord", "DEFAULT_ROUTE_BOUNDS", "binomial_sum", "darcais_poly",
-            "darcais_record", "hook_sum_full", "hook_sum_trivial_arm",
-            "hook_sum_trivial_leg", "q_poly", "q_scaled_coeffs", "scaled_coeffs",
-            "seed_records", "verify_identity",
+            "DArcaisRecord", "DEFAULT_ROUTE_BOUNDS", "darcais_record", "q_scaled_coeffs",
+            "scaled_coeffs", "seed_records", "verify_identity",
         ),
         "reports": ("ARTIFACT_VERSION", "CertReport"),
         "rootcert": (

@@ -18,6 +18,7 @@ failed, 2 = bad usage or unreadable input.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -143,11 +144,14 @@ def cmd_poly(args: argparse.Namespace) -> int:
         )
         print(" ".join(str(c) for c in coeffs))
     else:
-        poly = polynomials.q_poly(n) if args.shifted else polynomials.darcais_poly(n)
-        if poly.is_zero:
-            print("0")
-        else:
-            print(" ".join(str(c) for c in poly.coeffs))
+        from fractions import Fraction
+
+        fact = math.factorial(n)
+        coeffs = (
+            polynomials.q_scaled_coeffs(n) if args.shifted
+            else polynomials.scaled_coeffs(n)
+        )
+        print(" ".join(str(Fraction(c, fact)) for c in coeffs))
     if args._cache_path and n > loaded:
         cache_mod.write_cache(args._cache_path, n)
     return EXIT_OK
@@ -181,7 +185,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--max-n must be at least 1")
     _maybe_load_cache(args)
     routes = CONJECTURE_ROUTES[args.conjecture]
-    bounds = dict(polynomials.DEFAULT_ROUTE_BOUNDS)
+    bounds = polynomials.DEFAULT_ROUTE_BOUNDS
     over = [r for r in routes if args.max_n > bounds[r]]
     if over and not args.force:
         listed = ", ".join(f"{r} (bound {bounds[r]})" for r in over)
@@ -189,9 +193,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--max-n {args.max_n} exceeds the feasibility bound for: {listed}; "
             "pass --force to compute anyway"
         )
-    if args.force:
-        for r in routes:
-            bounds[r] = max(bounds[r], args.max_n)
     tamper = _parse_injection(args.inject_error) if args.inject_error else None
     if tamper and not tamper.keys() <= set(routes):
         (route,) = tamper
@@ -199,9 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--inject-error route {route!r} is not run by --conjecture "
             f"{args.conjecture}, which runs: {', '.join(routes)}"
         )
-    for report in polynomials.verify_up_to(
-        args.max_n, routes=routes, bounds=bounds, tamper=tamper
-    ):
+    for report in polynomials.verify_up_to(args.max_n, routes=routes, tamper=tamper):
         _print_report(report)
         if not report.passed:
             return EXIT_MATH_FAIL
@@ -253,7 +252,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
     timings["count"] = time.perf_counter() - start
 
     if args.isolate:
-        width = Fraction(args.max_width)
+        try:
+            width = Fraction(args.max_width)
+        except ZeroDivisionError:
+            raise UsageError(f"--max-width {args.max_width} has a zero denominator")
         start = time.perf_counter()
         intervals = rootcert.isolate_real_roots(coeffs, max_width=width)
         timings["isolate"] = time.perf_counter() - start

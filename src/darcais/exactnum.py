@@ -146,12 +146,6 @@ class ExactPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def coefficient(self, k: int) -> Fraction:
-        """Coefficient of x**k (zero beyond the stored degree)."""
-        if k < 0:
-            raise ValueError("coefficient index must be nonnegative")
-        return self._coeffs[k] if k < len(self._coeffs) else Fraction(0)
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 

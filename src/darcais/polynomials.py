@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .partitions import HookSelector, grow_rows
@@ -66,12 +67,12 @@ from .reports import CertReport
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .exactnum import ExactPoly
-
 # Feasibility defaults for the partition-sum routes, from one budget: each
 # bound is the largest n at which the route takes at most about 1 s (best
 # of 3, a two-vCPU host with Python 3.11.7; the next n took 1.0-1.5 s).
 # The partition counts explode, so a run over 1..bound takes a few seconds.
+# Only the CLI reads them: verify refuses a --max-n past a route's bound
+# unless --force is given; verify_identity and verify_up_to take no bounds.
 DEFAULT_ROUTE_BOUNDS: dict[str, int] = {
     "full_hooks": 33,
     "trivial_legs": 41,
@@ -217,18 +218,6 @@ def darcais_record(n: int) -> DArcaisRecord:
     return DArcaisRecord(n, scaled_coeffs(n)[1:])
 
 
-def darcais_poly(n: int) -> ExactPoly:
-    """P_n(x) via the pentagonal recurrence, exact rational coefficients."""
-    from fractions import Fraction
-
-    from .exactnum import ExactPoly
-
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    fact = math.factorial(n)
-    return ExactPoly(Fraction(c, fact) for c in scaled_coeffs(n))
-
-
 def q_scaled_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients of n! * Q_n(x) where Q_n(x) = P_n(x + 1).
 
@@ -238,16 +227,6 @@ def q_scaled_coeffs(n: int) -> tuple[int, ...]:
         raise ValueError("index must be nonnegative")
     _extend_table(_Q_SCALED, n, shifted=True)
     return _Q_SCALED[n]
-
-
-def q_poly(n: int) -> ExactPoly:
-    """Q_n(x) = P_n(x + 1), the hook-length average polynomial."""
-    from fractions import Fraction
-
-    from .exactnum import ExactPoly
-
-    fact = math.factorial(n)
-    return ExactPoly(Fraction(c, fact) for c in q_scaled_coeffs(n))
 
 
 def seed_records(
@@ -398,11 +377,17 @@ def _hook_grow(selector: HookSelector, z: int) -> Callable:
 
 
 def _hook_sum(lo: int, hi: int, selector: HookSelector) -> list[tuple[int, ...]]:
-    """For each n in [lo, hi]: n!^e * sum over partitions of n of
-    prod_{h in hooks} (1 + z / h^e), as integer coefficients; e = 2 for
-    the full multiset and 1 for the trivial ones.  n!^e is divisible by
-    every per-partition hook product (once for the trivial selectors,
-    squared for the full multiset)."""
+    """For each n in [lo, hi]: n!^e * Q_n(z) as integer coefficients, from
+    a sum over the partitions lambda of n of prod_{h in hooks} (1 + z / h^e):
+
+      * all hooks, e = 2: the Nekrasov-Okounkov sum
+        Q_n(z) = sum_lambda prod_{h in H(lambda)} (1 + z / h^2);
+      * trivial-leg hooks, e = 1: the refined sum
+        Q_n(z) = sum_lambda prod_{h in H1(lambda)} (1 + z / h);
+      * trivial-arm hooks, e = 1: the conjugate refined sum.
+
+    n!^e is divisible by every per-partition hook product (once for the
+    trivial selectors, squared for the full multiset)."""
     exp = 2 if selector is HookSelector.FULL else 1
     return _packed_sums(lo, hi, exp, (1, 1), lambda z: _hook_grow(selector, z))
 
@@ -422,74 +407,26 @@ def _binomial_grow(z: int) -> Callable:
 
 
 def _binomial_sums(lo: int, hi: int) -> list[tuple[int, ...]]:
-    """For each n in [lo, hi]: n! * sum over partitions of n of
-    prod_j C(k_j + z, k_j), as integer coefficients."""
-    return _packed_sums(lo, hi, 1, (1, 1, 0), _binomial_grow)
-
-
-def _as_poly(row: tuple[int, ...], denom: int) -> ExactPoly:
-    """row, divided by denom, as a rational polynomial."""
-    from fractions import Fraction
-
-    from .exactnum import ExactPoly
-
-    return ExactPoly(Fraction(c, denom) for c in row)
-
-
-class _Route:
-    """A partition-sum route for Q_n, public under its name.
-
-    rows(lo, hi) walks once over the sizes in [lo, hi] and lists, from lo,
-    each n's integer coefficients of n!^exp * Q_n, constant term first.
-    Called with n, the route gives Q_n itself, as rationals: the lo = hi = n
-    case of that walk.
-    """
-
-    def __init__(self, name: str, rows: Callable, exp: int, doc: str):
-        self.__name__ = self.__qualname__ = name
-        self.__doc__ = doc
-        self.rows = rows
-        self.exp = exp
-
-    def __call__(self, n: int) -> ExactPoly:
-        (row,) = self.rows(n, n)
-        return _as_poly(row, math.factorial(n) ** self.exp)
-
-
-hook_sum_full = _Route(
-    "hook_sum_full", lambda lo, hi: _hook_sum(lo, hi, HookSelector.FULL), 2,
-    """Q_n(z) as the Nekrasov-Okounkov sum over all hooks:
-    sum_lambda prod_{h in H(lambda)} (1 + z / h^2).""",
-)
-
-hook_sum_trivial_leg = _Route(
-    "hook_sum_trivial_leg", lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_LEG), 1,
-    """Q_n(z) as the refined sum over trivial-leg hooks:
-    sum_lambda prod_{h in H1(lambda)} (1 + z / h).""",
-)
-
-hook_sum_trivial_arm = _Route(
-    "hook_sum_trivial_arm", lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_ARM), 1,
-    """Q_n(z) as the conjugate refined sum over trivial-arm hooks.""",
-)
-
-binomial_sum = _Route(
-    "binomial_sum", _binomial_sums, 1,
-    """Q_n(z) as a sum of binomial products over part multiplicities:
-    sum_lambda prod_j C(k_j + z, k_j), where k_j counts parts equal to j.
+    """For each n in [lo, hi]: n! * Q_n(z) as integer coefficients, from a
+    sum of binomial products over part multiplicities,
+    Q_n(z) = sum_lambda prod_j C(k_j + z, k_j), where k_j counts the parts
+    of lambda equal to j.
 
     Equivalent to the trivial-leg form through the multiplicity encoding
-    of partitions, but dramatically cheaper per partition.""",
-)
+    of partitions, but dramatically cheaper per partition."""
+    return _packed_sums(lo, hi, 1, (1, 1, 0), _binomial_grow)
 
 
 # -- cross-route verification -------------------------------------------------
 
-_ROUTES: dict[str, _Route] = {
-    "full_hooks": hook_sum_full,
-    "trivial_legs": hook_sum_trivial_leg,
-    "trivial_arms": hook_sum_trivial_arm,
-    "binomials": binomial_sum,
+# Each partition-sum route for Q_n by name: (rows, e), where rows(lo, hi)
+# walks once over the sizes in [lo, hi] and lists, from lo, each n's
+# integer coefficients of n!^e * Q_n, constant term first.
+_ROUTES: dict[str, tuple[Callable[[int, int], list[tuple[int, ...]]], int]] = {
+    "full_hooks": (lambda lo, hi: _hook_sum(lo, hi, HookSelector.FULL), 2),
+    "trivial_legs": (lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_LEG), 1),
+    "trivial_arms": (lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_ARM), 1),
+    "binomials": (_binomial_sums, 1),
 }
 
 ROUTE_NAMES: tuple[str, ...] = tuple(_ROUTES)
@@ -507,39 +444,36 @@ def _witness(
     plus injected (index, delta) * z^index if given, differs from the
     recurrence's, baseline = n! * Q_n; None if none does.
 
-    Without an injection the rows are compared as integers, the route's
-    against n!^(exp-1) times baseline; rationals are built only to name a
-    differing coefficient.
+    The rows are compared as integers: coefficient k of the route's row,
+    plus delta * n!^exp at the injected index, against n!^(exp-1) times
+    the baseline's.  A Fraction is built only to print a differing pair.
     """
     fact = math.factorial(n)
-    if injected is None and row == tuple(fact ** (exp - 1) * c for c in baseline):
-        return None
-    from .exactnum import ExactPoly
+    denom = fact**exp
+    scale = denom // fact
+    index, delta = injected or (0, 0)
+    # coefficient k of each row, 0 past its end; an injected index past
+    # both ends comes last and is never materialized, however large
+    pairs = dict(enumerate(zip_longest(row, baseline, fillvalue=0)))
+    pairs.setdefault(index, (0, 0))
+    for k, (r, b) in pairs.items():
+        added = delta if k == index else 0
+        if r + added * denom != scale * b:
+            from fractions import Fraction
 
-    expected = _as_poly(baseline, fact)
-    actual = _as_poly(row, fact**exp)
-    if injected is not None:
-        index, delta = injected
-        actual += ExactPoly([0] * index + [delta])
-    if actual == expected:
-        return None
-    limit = max(len(actual.coeffs), len(expected.coeffs))
-    k = next(k for k in range(limit) if actual.coefficient(k) != expected.coefficient(k))
-    return {
-        "route": name,
-        "coefficient_index": k,
-        "expected": str(expected.coefficient(k)),
-        "actual": str(actual.coefficient(k)),
-    }
+            return {
+                "route": name,
+                "coefficient_index": k,
+                "expected": str(Fraction(b, fact)),
+                "actual": str(Fraction(r, denom) + added),
+            }
+    return None
 
 
 def _checked(
-    routes: Iterable[str],
-    bounds: Mapping[str, int] | None,
-    tamper: Mapping[str, tuple[int, Fraction]] | None,
-) -> tuple[list[str], dict[str, int], Mapping[str, tuple[int, Fraction]]]:
-    """The requested routes, each route's feasibility bound and the
-    injections, once they are checked."""
+    routes: Iterable[str], tamper: Mapping[str, tuple[int, Fraction]] | None
+) -> tuple[list[str], Mapping[str, tuple[int, Fraction]]]:
+    """The requested routes and the injections, once they are checked."""
     requested = list(routes)
     for name in requested:
         if name not in _ROUTES:
@@ -551,35 +485,28 @@ def _checked(
                 f"tamper index {index} for route {name!r} is negative; "
                 "coefficients start at 0"
             )
-    limits = dict(DEFAULT_ROUTE_BOUNDS)
-    if bounds:
-        limits.update(bounds)
-    return requested, limits, tamper
+    return requested, tamper
 
 
 def _reports(
     lo: int,
     hi: int,
     requested: list[str],
-    limits: Mapping[str, int],
     tamper: Mapping[str, tuple[int, Fraction]],
 ) -> Iterator[CertReport]:
     """The reports for n = lo..hi, in order of n, up to the first that fails.
 
-    Each requested route walks once, over [lo, min(hi, its bound)], before
-    the first report; that report's timings hold each walk's seconds, and
-    the later ones hold 0.0 for a route, whose rows came from its walk.
-    Each report's "recursion" is the seconds spent extending the
-    recurrence's table to its n.
+    Each requested route walks once, over [lo, hi], before the first
+    report; that report's timings hold each walk's seconds, and the later
+    ones hold 0.0 for a route, whose rows came from its walk.  Each
+    report's "recursion" is the seconds spent extending the recurrence's
+    table to its n.
     """
-    walks: dict[str, tuple[list[tuple[int, ...]], float]] = {}
+    walks: dict[str, tuple[list[tuple[int, ...]], int, float]] = {}
     for name in requested:
-        bound = limits.get(name)
-        top = hi if bound is None else min(hi, bound)
-        if top >= lo:
-            start = time.perf_counter()
-            rows = _ROUTES[name].rows(lo, top)
-            walks[name] = rows, time.perf_counter() - start
+        rows, exp = _ROUTES[name]
+        start = time.perf_counter()
+        walks[name] = rows(lo, hi), exp, time.perf_counter() - start
 
     for n in range(lo, hi + 1):
         timings: dict[str, float] = {}
@@ -590,18 +517,9 @@ def _reports(
         route_status: dict[str, dict[str, str]] = {}
         witnesses: list[dict[str, object]] = []
         for name in requested:
-            bound = limits.get(name)
-            if bound is not None and n > bound:
-                route_status[name] = {
-                    "status": "skipped",
-                    "reason": f"n={n} exceeds feasibility bound {bound}",
-                }
-                continue
-            rows, seconds = walks[name]
+            rows, exp, seconds = walks[name]
             timings[name] = seconds if n == lo else 0.0
-            witness = _witness(
-                name, n, baseline, rows[n - lo], _ROUTES[name].exp, tamper.get(name)
-            )
+            witness = _witness(name, n, baseline, rows[n - lo], exp, tamper.get(name))
             route_status[name] = {"status": "pass" if witness is None else "fail"}
             if witness is not None:
                 witnesses.append(witness)
@@ -622,7 +540,6 @@ def _reports(
 def verify_identity(
     n: int,
     routes: Iterable[str],
-    bounds: Mapping[str, int] | None = None,
     tamper: Mapping[str, tuple[int, Fraction]] | None = None,
 ) -> CertReport:
     """Check the requested routes against the recurrence, coefficient-exact.
@@ -630,11 +547,10 @@ def verify_identity(
     Every requested route recomputes Q_n independently, walking the
     partitions of n alone, and is compared to the recurrence baseline
     (named "recursion" in the report) term by term: the route's integer
-    row n!^e * Q_n against n!^(e-1) times the recurrence's n! * Q_n.  A
-    route whose feasibility bound is below n is reported as skipped (with
-    the bound), never silently dropped.  The report's verdict is "pass"
-    only if no computed route disagrees; a route that does names the first
-    coefficient in which its Q_n differs from the recurrence's.
+    row n!^e * Q_n against n!^(e-1) times the recurrence's n! * Q_n.  The
+    report's verdict is "pass" only if no route disagrees; a route that
+    does names the first coefficient in which its Q_n differs from the
+    recurrence's.
 
     tamper injects an error into a named route's output (coefficient
     index >= 0, delta) before comparison; it exists so the failure path
@@ -642,23 +558,22 @@ def verify_identity(
     """
     if n < 1:
         raise ValueError("identity verification is defined for n >= 1")
-    (report,) = _reports(n, n, *_checked(routes, bounds, tamper))
+    (report,) = _reports(n, n, *_checked(routes, tamper))
     return report
 
 
 def verify_up_to(
     max_n: int,
     routes: Iterable[str],
-    bounds: Mapping[str, int] | None = None,
     tamper: Mapping[str, tuple[int, Fraction]] | None = None,
 ) -> Iterator[CertReport]:
     """The reports verify_identity gives for n = 1..max_n, in order of n,
     up to and including the first that fails.
 
-    Each route walks once, over every n up to min(max_n, its bound): the
-    rows the walk places bottom-up always form a partition, and no later
-    row changes their hooks, so one walk finishes every smaller size on
-    the way.  The first report's timings hold each walk's seconds.
+    Each route walks once, over every n up to max_n: the rows the walk
+    places bottom-up always form a partition, and no later row changes
+    their hooks, so one walk finishes every smaller size on the way.  The
+    first report's timings hold each walk's seconds.
 
     An injected error fails its route at the first n the route runs at,
     n = 1, so with tamper that report is verify_identity's at n = 1 alone,
@@ -666,7 +581,7 @@ def verify_up_to(
     """
     if max_n < 1:
         raise ValueError("identity verification is defined for n >= 1")
-    checked = _checked(routes, bounds, tamper)
+    checked = _checked(routes, tamper)
     lo = 1
     if tamper:
         first = verify_identity(1, *checked)

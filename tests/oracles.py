@@ -20,6 +20,12 @@ the implication chain asserted over the whole sequence, which the one
 concavity pass of shape_summary is checked against.  read_cache_exact
 is the record-cache reader as a line parser alone, which the canonical
 fast path of cache.read_cache is checked against.
+
+Last, the rational views the tests compare as ExactPoly, which the
+package, computing on integer rows, no longer has: P_n and Q_n from the
+recurrence's rows (darcais_poly, q_poly), and Q_n from each partition-sum
+route's row n!^e * Q_n (hook_sum_full, hook_sum_trivial_leg,
+hook_sum_trivial_arm, binomial_sum).
 """
 
 import math
@@ -30,6 +36,7 @@ from pathlib import Path
 from darcais.cache import CACHE_HEADER, CacheError
 from darcais.exactnum import ExactPoly, convolve, poly_divmod
 from darcais.partitions import HookMultiset, HookSelector, Partition, enumerate_partitions
+from darcais.polynomials import _ROUTES, q_scaled_coeffs, scaled_coeffs
 from darcais.pf_tnn import MinorWitness, ToeplitzSeq, contiguous_minor_spec, toeplitz_minor
 from darcais.rootcert import SturmChain
 from darcais.shape import (
@@ -347,6 +354,50 @@ def record_poly(record) -> ExactPoly:
     """P_n rebuilt from its integer-normalized record: (x / n!) * sum a_k x^k."""
     fact = math.factorial(record.n)
     return ExactPoly([Fraction(0)] + [Fraction(c, fact) for c in record.numer_coeffs])
+
+
+def darcais_poly(n: int) -> ExactPoly:
+    """P_n(x), exact rational coefficients: the recurrence's n! * P_n over n!."""
+    fact = math.factorial(n)
+    return ExactPoly(Fraction(c, fact) for c in scaled_coeffs(n))
+
+
+def q_poly(n: int) -> ExactPoly:
+    """Q_n(x) = P_n(x + 1), the hook-length average polynomial: the Q
+    recurrence's n! * Q_n over n!."""
+    fact = math.factorial(n)
+    return ExactPoly(Fraction(c, fact) for c in q_scaled_coeffs(n))
+
+
+def _route_poly(route: str, n: int) -> ExactPoly:
+    """Q_n from the named partition-sum route: its row n!^e * Q_n, walked
+    over the partitions of n alone, over n!^e."""
+    rows, exp = _ROUTES[route]
+    (row,) = rows(n, n)
+    return ExactPoly(Fraction(c, math.factorial(n) ** exp) for c in row)
+
+
+def hook_sum_full(n: int) -> ExactPoly:
+    """Q_n as the Nekrasov-Okounkov sum over all hooks:
+    sum_lambda prod_{h in H(lambda)} (1 + z / h^2)."""
+    return _route_poly("full_hooks", n)
+
+
+def hook_sum_trivial_leg(n: int) -> ExactPoly:
+    """Q_n as the refined sum over trivial-leg hooks:
+    sum_lambda prod_{h in H1(lambda)} (1 + z / h)."""
+    return _route_poly("trivial_legs", n)
+
+
+def hook_sum_trivial_arm(n: int) -> ExactPoly:
+    """Q_n as the conjugate refined sum over trivial-arm hooks."""
+    return _route_poly("trivial_arms", n)
+
+
+def binomial_sum(n: int) -> ExactPoly:
+    """Q_n as a sum of binomial products over part multiplicities:
+    sum_lambda prod_j C(k_j + z, k_j), where k_j counts parts equal to j."""
+    return _route_poly("binomials", n)
 
 
 class FactorizationError(ValueError):

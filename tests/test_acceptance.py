@@ -15,16 +15,7 @@ from fractions import Fraction
 from darcais.exactnum import ExactPoly
 from darcais.partitions import HookSelector, Partition
 from darcais.pf_tnn import ToeplitzSeq, contiguous_minor_spec, pf_test, _det_bareiss
-from darcais.polynomials import (
-    binomial_sum,
-    darcais_poly,
-    darcais_record,
-    hook_sum_full,
-    hook_sum_trivial_arm,
-    hook_sum_trivial_leg,
-    q_poly,
-    scaled_coeffs,
-)
+from darcais.polynomials import darcais_record, scaled_coeffs
 from darcais.rootcert import (
     count_real_roots,
     hurwitz_stable,
@@ -33,11 +24,17 @@ from darcais.rootcert import (
 )
 from darcais.shape import is_unimodal, shape_report, shape_summary
 from oracles import (
+    binomial_sum,
     conjugate,
+    darcais_poly,
     derivative,
     count_syt,
     elements,
     euler_series_poly,
+    hook_sum_full,
+    hook_sum_trivial_arm,
+    hook_sum_trivial_leg,
+    q_poly,
     toeplitz_entry,
     verify_factorization,
 )

@@ -148,6 +148,22 @@ class TestVerify:
             "route": "trivial_legs", "coefficient_index": 0, "expected": "1", "actual": "2",
         }
 
+    def test_injection_far_past_the_row_is_its_own_witness(self, capsys):
+        # a 30-digit index names a coefficient that is 0 in both rows; it
+        # costs no more than index 0, and is reported as given
+        index = 10**29 + 7
+        code, out, _ = run(
+            capsys,
+            "verify", "--conjecture", "1", "--max-n", "3",
+            "--inject-error", f"trivial_legs:{index}",
+        )
+        assert code == EXIT_MATH_FAIL
+        (report,) = parse_lines(out)
+        (witness,) = report["witnesses"]
+        assert witness == {
+            "route": "trivial_legs", "coefficient_index": index, "expected": "0", "actual": "1",
+        }
+
     def test_injection_route_must_exist(self, capsys):
         code, _, err = run(
             capsys,
@@ -184,14 +200,14 @@ class TestVerify:
                 rows[5 - lo][2] += 1
             return [tuple(row) for row in rows]
 
-        monkeypatch.setattr(polynomials.binomial_sum, "rows", wrong_rows)
+        monkeypatch.setitem(polynomials._ROUTES, "binomials", (wrong_rows, 1))
         code, out, _ = run(capsys, "verify", "--conjecture", "corollary", "--max-n", "8")
         assert code == EXIT_MATH_FAIL
         reports = parse_lines(out)
         assert [r["verdict"] for r in reports] == ["pass"] * 4 + ["fail"]
         (witness,) = reports[-1]["witnesses"]
         assert witness["route"] == "binomials" and witness["coefficient_index"] == 2
-        expected = polynomials.q_poly(5).coefficient(2)
+        expected = Fraction(polynomials.q_scaled_coeffs(5)[2], 120)
         assert Fraction(witness["expected"]) == expected
         assert Fraction(witness["actual"]) - expected == Fraction(1, 120)
 
@@ -254,6 +270,18 @@ class TestRoots:
         for iv in intervals:
             width = Fraction(iv["upper"]) - Fraction(iv["lower"])
             assert width <= Fraction(1, 4)
+
+    @pytest.mark.parametrize(
+        "width, message",
+        [("1/0", "error: --max-width 1/0 has a zero denominator"),
+         ("-1", "input error: max_width must be positive"),
+         ("abc", "input error: Invalid literal for Fraction: 'abc'")],
+    )
+    def test_bad_max_width_is_a_usage_error(self, capsys, width, message):
+        code, out, err = run(capsys, "roots", "--n", "5", "--isolate", "--max-width", width)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == message + "\n"
 
     def test_exactly_one_input(self, capsys):
         code, _, _ = run(capsys, "roots", "--n", "4", "--poly", "1 1")

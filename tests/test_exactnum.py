@@ -46,11 +46,6 @@ class TestStructure:
         assert len(p.coeffs) - 1 == 2
         assert p.coeffs[-1] == Fraction(1, 2)
 
-    def test_coefficient_beyond_degree_is_zero(self):
-        assert P(1, 2).coefficient(17) == 0
-        with pytest.raises(ValueError):
-            P(1, 2).coefficient(-1)
-
     def test_hash_consistent_with_eq(self):
         assert hash(P(1, 2)) == hash(P(Fraction(2, 2), Fraction(4, 2)))
 

@@ -230,15 +230,15 @@ def test_root_certificates_never_reach_exact_poly():
 
 
 def test_partition_routes_share_no_function_with_the_baseline():
-    # verify_identity compares every partition-sum route against q_poly;
-    # a package function reached by both could make a wrong route agree.
-    # Both build an ExactPoly at the end, so only functions count.
+    # verify_identity compares every partition-sum route against
+    # q_scaled_coeffs; a package function reached by both could make a
+    # wrong route agree.  Only functions count.
     reach, is_function, _ = _package_reach(into_classes=False)
-    baseline = {key for key in reach("polynomials.q_poly") if is_function(key)}
+    baseline = {key for key in reach("polynomials.q_scaled_coeffs") if is_function(key)}
     assert {"polynomials.q_scaled_coeffs", "polynomials._extend_table"} <= baseline
     # Q_n comes from its own recurrence, with no Taylor shift of P_n
     assert "exactnum.shift_by_one" not in reach("polynomials.q_scaled_coeffs")
-    for route in ("polynomials._hook_sum", "polynomials.binomial_sum"):
+    for route in ("polynomials._hook_sum", "polynomials._binomial_sums"):
         reached = reach(route)
         assert "partitions.grow_rows" in reached  # the walk sees the route's calls
         assert {key for key in reached if is_function(key)} & baseline == set(), route
@@ -317,13 +317,57 @@ def test_verify_jobs_import_only_integer_code():
     assert loaded.split() == ["loaded:"]
 
 
+def test_polynomials_never_reach_exactnum():
+    # polynomials computes on integer rows; a Fraction is built only to
+    # print a witness or a poly line, and nothing there reaches exactnum
+    reach, _, keys = _package_reach()
+    defined = sorted(key for key in keys if key.startswith("polynomials."))
+    assert "polynomials._witness" in defined
+    for key in defined:
+        assert sorted(k for k in reach(key) if k.startswith("exactnum.")) == [], key
+
+
+# run as `python -m darcais.cli ARGS` does, then print the exit code and
+# name the modules loaded
+_RUN_AS_MAIN_ANY_EXIT = """
+import runpy, sys
+sys.argv = ["darcais", *sys.argv[1:]]
+try:
+    runpy.run_module("darcais.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("exit:", exc.code)
+print("loaded:", *[m for m in {modules!r} if m in sys.modules])
+"""
+
+
+def test_witness_and_rational_poly_jobs_load_no_rational_polynomials():
+    # a verify witness and the rational poly lines are Fractions over
+    # integer rows: fractions is loaded, the rational polynomials and the
+    # root and PF certificates are not
+    unused = ("darcais.exactnum", "darcais.rootcert", "darcais.pf_tnn")
+    for argv, code in (
+        (["verify", "--conjecture", "corollary", "--max-n", "3",
+          "--inject-error", "trivial_arms:1:1/2"], 1),
+        (["poly", "--n", "5"], 0),
+        (["poly", "--n", "5", "--shifted"], 0),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", _RUN_AS_MAIN_ANY_EXIT.format(modules=unused), *argv],
+            env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        *_, exit_line, loaded = result.stdout.splitlines()
+        assert exit_line == f"exit: {code}", argv
+        assert loaded.split() == ["loaded:"], argv
+
+
 def test_lazy_exports_resolve_and_star_import_binds_them():
     # darcais/__init__.py imports each exported name on first use; in a
     # fresh process every name must resolve, bind under *, and be listed
     script = """
 import darcais
 names = darcais.__all__
-assert len(names) == len(set(names)) == 44, names
+assert len(names) == len(set(names)) == 38, names
 star = {}
 exec("from darcais import *", star)
 assert all(star[name] is getattr(darcais, name) for name in names)
