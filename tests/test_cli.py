@@ -661,6 +661,72 @@ class TestCache:
         assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
 
+FILE = "<file>"  # replaced by a file of non-ASCII text
+NOT_ASCII = "'ascii' codec can't decode byte 0xc3 in position 4: ordinal not in range(128)"
+PARSE = "error: polynomial parse failure in argument, line 1: "
+
+
+def _roots_case(text, err=None, coeffs=None, degree=None):
+    target = None if err else {"coeffs": coeffs}
+    return ("roots", "--poly", text), 2 if err else 0, err or "", target, {"degree": degree}
+
+
+def _pf_case(coeffs, strip, err=None, stripped=None, length=None):
+    argv = ("pf", "--coeffs", coeffs) + (() if strip is None else (f"--strip-linear={strip}",))
+    target = None
+    if not err:
+        target = {"coeffs": coeffs}
+        if stripped is not None:
+            target["stripped_roots"] = stripped
+    return argv, 2 if err else 0, err or "", target, {"sequence_length": length}
+
+
+INPUT_CASES = [
+    _roots_case("   ", PARSE + "empty polynomial text\n"),
+    _roots_case("0 0", "error: the zero polynomial has no root certificate\n"),
+    _roots_case("1 bogus", PARSE + "invalid coefficient token 2: 'bogus'\n"),
+    _roots_case("1,2", PARSE + "invalid coefficient token 1: '1,2'\n"),
+    _roots_case("1/0 2", PARSE + "invalid coefficient token 1: '1/0'\n"),
+    _roots_case("7", coeffs="7/1", degree=0),
+    _roots_case("1 1 0", coeffs="1/1 1/1", degree=1),  # trailing zeros dropped
+    _roots_case("1/2 1/3 -5/7", coeffs="1/2 1/3 -5/7", degree=2),
+    _roots_case(FILE, f"error: cannot read polynomial file {FILE}: {NOT_ASCII}\n"),
+    _pf_case(" , ", None, "error: --coeffs is empty\n"),
+    _pf_case("1 x", None, "error: invalid --coeffs token 2: 'x'\n"),
+    _pf_case(FILE, None, f"error: cannot read --coeffs file {FILE}: {NOT_ASCII}\n"),
+    _pf_case("1 1", "x", "error: invalid --strip-linear entry 1: 'x'\n"),
+    _pf_case("1 1", "1/0", "error: invalid --strip-linear entry 1: '1/0'\n"),
+    _pf_case("1 1", "", length=2),  # an empty value strips nothing
+    _pf_case("1 1", "-2", "error: --strip-linear: -2 is not a root (remainder -1/1)\n"),
+    _pf_case("3", "-1", "error: --strip-linear: -1 is not a root (remainder 3/1)\n"),
+    _pf_case("0 0", "1", "input error: a Toeplitz sequence needs at least one entry\n"),
+    _pf_case("1 1 0", "-1", stripped=["-1"], length=1),
+    _pf_case("1 3 2", "-1/2,-1", stripped=["-1/2", "-1"], length=1),
+    _pf_case("1 2 1", "-1,-1,-1", "error: --strip-linear: -1 is not a root (remainder 1/1)\n"),
+    _pf_case("2 5 2 0", " -2 , -1/2", stripped=["-2", "-1/2"], length=1),
+    (("pf", "--n", "12", "--strip-linear=-1"), 2,
+     "error: --strip-linear: -1 is not a root (remainder 479001600/1)\n", None, None),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, target, details", INPUT_CASES)
+def test_input_contract(capsys, tmp_path, argv, code, err, target, details):
+    # how roots --poly, pf --coeffs and pf --strip-linear read their input:
+    # the exit code and the exact stderr, and for an accepted input the
+    # target and the size of what was certified
+    path = tmp_path / "coeffs.txt"
+    path.write_text("1 2 \N{LATIN SMALL LETTER E WITH ACUTE}\n", encoding="utf-8")
+    argv = [str(path) if arg == FILE else arg for arg in argv]
+    got_code, out, got_err = run(capsys, *argv)
+    assert (got_code, got_err) == (code, err.replace(FILE, str(path)))
+    if target is None:
+        assert out == ""
+    else:
+        (report,) = parse_lines(out)
+        assert report["target"] == target
+        assert {key: report["details"][key] for key in details} == details
+
+
 class TestOneSturmChainPerPolynomial:
     """At most one Sturm chain per polynomial; since the root counts moved
     to Descartes bisection, roots and pf build none."""
