@@ -29,7 +29,6 @@ __version__ = ARTIFACT_VERSION
 _EXPORTS = {
     name: module
     for module, names in {
-        "exactnum": ("ExactPoly", "poly_divmod"),
         "partitions": ("HookMultiset", "HookSelector", "Partition", "enumerate_partitions"),
         "pf_tnn": (
             "MinorSpec", "MinorWitness", "PFVerdict", "ToeplitzSeq",

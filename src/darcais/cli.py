@@ -30,13 +30,11 @@ from . import polynomials, shape
 from .cache import CacheError
 from .reports import ARTIFACT_VERSION, CertReport
 
-# fractions, the rational polynomials (exactnum) and the root and PF
+# fractions, the integer kernel (exactnum) and the root and PF
 # certificates are imported by the subcommands that use them, so that a
 # shape or poly --normalized process loads none of them
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .exactnum import ExactPoly
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -89,38 +87,37 @@ def _maybe_load_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_poly_argument(value: str) -> ExactPoly:
-    """Accept either a file of coefficients or an inline token string.
-
-    Tokens are rationals ("num/den" or plain integers), constant term
-    first, whitespace separated.
-    """
-    from .exactnum import ExactPoly
-
-    source = value
-    origin = "argument"
-    if os.path.exists(value):
-        origin = f"file {value}"
-        try:
-            source = Path(value).read_text(encoding="ascii")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read polynomial {origin}: {exc}")
+def _read_argument(value: str, what: str) -> tuple[str, str]:
+    """The text of an argument that may name a file, and where it came
+    from: the file's text if the path exists, else the value itself."""
+    if not os.path.exists(value):
+        return value, "argument"
     try:
-        return ExactPoly.from_text(source)
-    except ValueError as exc:
-        raise UsageError(f"polynomial parse failure in {origin}, line 1: {exc}")
+        return Path(value).read_text(encoding="ascii"), f"file {value}"
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} file {value}: {exc}")
 
 
-def _parse_rationals_csv(value: str, what: str) -> list[Fraction]:
+def _rationals(tokens: Sequence[str], invalid: str) -> list[Fraction]:
+    """The tokens as Fractions; the first bad one is refused as
+    "{invalid} {position}: {token!r}", counting from 1."""
     from fractions import Fraction
 
     out = []
-    for pos, tok in enumerate(value.split(","), start=1):
+    for pos, tok in enumerate(tokens, start=1):
         try:
-            out.append(Fraction(tok.strip()))
+            out.append(Fraction(tok))
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"invalid {what} entry {pos}: {tok!r}")
+            raise UsageError(f"{invalid} {pos}: {tok!r}")
     return out
+
+
+def _strip_zeros(values: list) -> list:
+    """values without trailing zeros: the coefficients of a polynomial,
+    constant term first, none for the zero polynomial."""
+    while values and not values[-1]:
+        values.pop()
+    return values
 
 
 def _print_report(report: CertReport) -> None:
@@ -216,6 +213,14 @@ def cmd_roots(args: argparse.Namespace) -> int:
     from . import rootcert
     from .exactnum import primitive_int_coeffs
 
+    # the width is read first, with or without --isolate, so that a bad
+    # one is refused before any certificate runs
+    try:
+        width = Fraction(args.max_width)
+    except ZeroDivisionError:
+        raise UsageError(f"--max-width {args.max_width} has a zero denominator")
+    if width <= 0:
+        raise ValueError("max_width must be positive")
     if (args.n is None) == (args.poly is None):
         raise UsageError("choose exactly one of --n or --poly")
     if args.n is not None:
@@ -225,11 +230,16 @@ def cmd_roots(args: argparse.Namespace) -> int:
         coeffs = polynomials.darcais_record(args.n).numer_coeffs
         target: dict = {"n": args.n, "polynomial": "normalized P_n numerator / x"}
     else:
-        poly = _parse_poly_argument(args.poly)
-        if poly.is_zero:
+        text, origin = _read_argument(args.poly, "polynomial")
+        failure = f"polynomial parse failure in {origin}, line 1:"
+        tokens = text.split()
+        if not tokens:
+            raise UsageError(f"{failure} empty polynomial text")
+        values = _strip_zeros(_rationals(tokens, f"{failure} invalid coefficient token"))
+        if not values:
             raise UsageError("the zero polynomial has no root certificate")
-        coeffs = tuple(primitive_int_coeffs(poly.coeffs))
-        target = {"coeffs": poly.to_text()}
+        coeffs = tuple(primitive_int_coeffs(values))
+        target = {"coeffs": " ".join(f"{c.numerator}/{c.denominator}" for c in values)}
 
     details: dict = {"degree": len(coeffs) - 1}
     witnesses: list[dict] = []
@@ -252,10 +262,6 @@ def cmd_roots(args: argparse.Namespace) -> int:
     timings["count"] = time.perf_counter() - start
 
     if args.isolate:
-        try:
-            width = Fraction(args.max_width)
-        except ZeroDivisionError:
-            raise UsageError(f"--max-width {args.max_width} has a zero denominator")
         start = time.perf_counter()
         intervals = rootcert.isolate_real_roots(coeffs, max_width=width)
         timings["isolate"] = time.perf_counter() - start
@@ -306,20 +312,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
 # -- pf ----------------------------------------------------------------------
 
 
-def poly_divmod(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
-    """exactnum.poly_divmod, imported on first use.  cmd_pf divides through
-    this module-level name, which perfbench/tracer.py wraps as
-    cli.poly_divmod."""
-    from . import exactnum
-
-    return exactnum.poly_divmod(a, b)
-
-
 def cmd_pf(args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
     from . import pf_tnn
-    from .exactnum import ExactPoly
 
     if (args.n is None) == (args.coeffs is None):
         raise UsageError("choose exactly one of --n or --coeffs")
@@ -330,36 +324,31 @@ def cmd_pf(args: argparse.Namespace) -> int:
         values = polynomials.darcais_record(args.n).numer_coeffs
         target: dict = {"n": args.n}
     else:
-        text = args.coeffs
-        if os.path.exists(text):
-            try:
-                text = Path(text).read_text(encoding="ascii")
-            except (OSError, UnicodeDecodeError) as exc:
-                raise UsageError(f"cannot read --coeffs file {text}: {exc}")
+        text, _ = _read_argument(args.coeffs, "--coeffs")
         tokens = text.replace(",", " ").split()
         if not tokens:
             raise UsageError("--coeffs is empty")
-        values = []
-        for pos, tok in enumerate(tokens, start=1):
-            try:
-                values.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError):
-                raise UsageError(f"invalid --coeffs token {pos}: {tok!r}")
+        values = _rationals(tokens, "invalid --coeffs token")
         target = {"coeffs": " ".join(str(v) for v in values)}
 
     if args.strip_linear:
-        roots = _parse_rationals_csv(args.strip_linear, "--strip-linear")
-        poly = ExactPoly(values)
+        roots = _rationals(args.strip_linear.split(","), "invalid --strip-linear entry")
+        values = _strip_zeros(list(values))
         for root in roots:
-            factor = ExactPoly([-root, Fraction(1)])
-            quotient, remainder = poly_divmod(poly, factor)
-            if not remainder.is_zero:
+            # synthetic division by x - root, from the top coefficient down:
+            # the running values are the quotient's, then p(root)
+            acc = 0
+            quotient = []
+            for c in reversed(values):
+                acc = acc * root + c
+                quotient.append(acc)
+            remainder = quotient.pop() if quotient else 0
+            if remainder:
                 raise UsageError(
                     f"--strip-linear: {root} is not a root "
-                    f"(remainder {remainder.to_text()})"
+                    f"(remainder {remainder.numerator}/{remainder.denominator})"
                 )
-            poly = quotient
-        values = list(poly.coeffs)
+            values = quotient[::-1]
         target["stripped_roots"] = [str(r) for r in roots]
 
     for k, v in enumerate(values):

@@ -1,15 +1,16 @@
-"""Exact scalar and dense polynomial arithmetic over the rationals.
+"""Exact polynomial arithmetic: an integer kernel and a rational class.
 
-Everything in this module is exact and immutable.  Integers are Python's
-arbitrary-precision ``int``, rationals are ``fractions.Fraction`` (always
-in lowest terms, positive denominator), and polynomials are dense tuples
-of ``Fraction`` coefficients indexed by power (constant term first).
+The kernel works on plain coefficient lists, constant term first:
+products, the shift by one, primitive parts (and the scaling of rational
+coefficients to primitive integers), pseudo-remainders and the integer
+gcd.  It is what the rest of the package computes with.
 
-The polynomial type deliberately has no floating-point escape hatch: every
-operation that could lose exactness raises instead.  It is built on a small
-kernel of functions on plain coefficient lists (products, the shift by one,
-primitive parts, pseudo-remainders, the integer gcd) that the rest of the
-package shares.
+``ExactPoly``, a dense polynomial with ``fractions.Fraction``
+coefficients, and ``poly_divmod`` are on no command's path: the tests
+build their oracles with them, and perfbench's tracer wraps
+``poly_divmod`` and ``ExactPoly.__call__`` by name.  Nothing here has a
+floating-point escape hatch; an operation that could lose exactness
+raises instead.
 """
 
 from __future__ import annotations
@@ -208,25 +209,11 @@ class ExactPoly:
     def to_text(self) -> str:
         """Canonical text form: space-separated num/den, constant term first.
 
-        The zero polynomial serializes as "0/1".  Round-trips exactly
-        through from_text.
+        The zero polynomial serializes as "0/1".
         """
         if not self._coeffs:
             return "0/1"
         return " ".join(f"{c.numerator}/{c.denominator}" for c in self._coeffs)
-
-    @classmethod
-    def from_text(cls, text: str) -> ExactPoly:
-        tokens = text.split()
-        if not tokens:
-            raise ValueError("empty polynomial text")
-        coeffs = []
-        for pos, tok in enumerate(tokens, start=1):
-            try:
-                coeffs.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"invalid coefficient token {pos}: {tok!r}") from exc
-        return cls(coeffs)
 
 
 # -- module-level operations ----------------------------------------------

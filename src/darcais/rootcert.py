@@ -25,7 +25,6 @@ from itertools import accumulate
 from typing import Sequence
 
 from .exactnum import (
-    ExactPoly,
     Scalar,
     poly_gcd,
     prem_signed,
@@ -78,7 +77,7 @@ class SturmChain(Frozen):
 
     No root count in this module uses it.  The tests count with it, as an
     oracle independent of the Descartes bisection, and perfbench's tracer
-    wraps build, members and variations_at by name.
+    wraps build and variations_at by name.
 
     Members are stored once, as primitive integer coefficient tuples
     (constant term first, positive content removed), which rescales each
@@ -93,12 +92,11 @@ class SturmChain(Frozen):
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def build(cls, p: ExactPoly) -> SturmChain:
-        if p.is_zero:
-            raise ValueError("cannot build a Sturm chain for the zero polynomial")
-        f = primitive_int_coeffs(p.coeffs)
+    def build(cls, p: Sequence[Scalar]) -> SturmChain:
+        """The chain of p, given by its coefficients, constant term first."""
+        f = _primitive(p)
         if len(f) == 1:
-            return cls((tuple(f),))
+            return cls((f,))
         fp = [k * c for k, c in enumerate(f)][1:]
         chain = [f, primitive_part(fp)]
         while True:
@@ -107,11 +105,6 @@ class SturmChain(Frozen):
                 break
             chain.append([-c for c in r])
         return cls(tuple(tuple(c) for c in chain))
-
-    @property
-    def members(self) -> tuple[ExactPoly, ...]:
-        """The chain as rational polynomials (built on each access)."""
-        return tuple(ExactPoly(c) for c in self.coeffs)
 
     def signs_at(self, x: Scalar) -> list[int]:
         """Sign (-1, 0 or 1) of every member at x, in chain order.

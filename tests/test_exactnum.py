@@ -229,20 +229,3 @@ class TestSerialization:
         assert P(0, Fraction(3, 2), Fraction(1, 2)).to_text() == "0/1 3/2 1/2"
         assert ExactPoly().to_text() == "0/1"
 
-    def test_round_trip(self):
-        for p in (P(1, 2, 3), P(0, Fraction(-7, 3)), ExactPoly(), P(Fraction(22, 7))):
-            assert ExactPoly.from_text(p.to_text()) == p
-
-    def test_parse_plain_integers(self):
-        assert ExactPoly.from_text("3 2 1") == P(3, 2, 1)
-
-    def test_parse_errors_carry_position(self):
-        with pytest.raises(ValueError, match="token 3"):
-            ExactPoly.from_text("1 2 spam")
-        with pytest.raises(ValueError, match="empty"):
-            ExactPoly.from_text("   ")
-
-    @settings(derandomize=True, max_examples=100)
-    @given(small_polys)
-    def test_round_trip_property(self, p):
-        assert ExactPoly.from_text(p.to_text()) == p

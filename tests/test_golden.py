@@ -83,7 +83,7 @@ def test_golden_intervals_are_proved_by_sturm(name):
     if "--n" in argv:
         poly = ExactPoly(darcais_record(int(argv[argv.index("--n") + 1])).numer_coeffs)
     else:
-        poly = ExactPoly.from_text(argv[argv.index("--poly") + 1])
+        poly = ExactPoly(map(Fraction, argv[argv.index("--poly") + 1].split()))
     width = Fraction(argv[argv.index("--max-width") + 1]) if "--max-width" in argv else 1
     (line,) = (GOLDEN / f"{name}.out").read_text(encoding="ascii").splitlines()
     intervals = [

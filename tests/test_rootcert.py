@@ -63,11 +63,11 @@ def linear_product(roots):
 class TestSturmChain:
     def test_square_free_chain_ends_constant(self):
         chain = SturmChain.build(linear_product([1, 2, 3]))
-        assert len(chain.members[-1].coeffs) == 1
+        assert len(chain.coeffs[-1]) == 1
 
     def test_repeated_root_chain_ends_at_gcd_multiple(self):
         chain = SturmChain.build(ExactPoly([1, -2, 1]))  # (x-1)^2
-        assert len(chain.members[-1].coeffs) == 2
+        assert len(chain.coeffs[-1]) == 2
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):

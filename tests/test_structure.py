@@ -20,8 +20,8 @@ ROOTS = ("cli.main", "cli.entry")
 # They are walk roots too, so what they call counts as reached.
 TRACER = "perfbench tracer wraps it by name (ROADMAP item 3)"
 ALLOWED = {
+    "exactnum.poly_divmod": TRACER,
     "rootcert.SturmChain.build": TRACER,
-    "rootcert.SturmChain.members": TRACER,
     "rootcert.SturmChain.variations_at": TRACER,
     "partitions.Partition.hooks": TRACER,
     "partitions.enumerate_partitions": TRACER,
@@ -229,6 +229,27 @@ def test_root_certificates_never_reach_exact_poly():
         assert sorted(k for k in reached if k.startswith("exactnum.ExactPoly")) == [], entry
 
 
+def test_cli_and_root_certificates_name_no_rational_polynomial():
+    # roots --poly and pf --strip-linear read Fractions and compute on
+    # coefficient lists; the rational polynomial class, its division and
+    # its text parser are for the tests and the tracer only
+    rational = {"ExactPoly", "poly_divmod", "from_text"}
+    for module in ("cli", "rootcert"):
+        path = PACKAGE / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named.add(node.name)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+        assert sorted(named & rational) == [], module
+
+
 def test_partition_routes_share_no_function_with_the_baseline():
     # verify_identity compares every partition-sum route against
     # q_scaled_coeffs; a package function reached by both could make a
@@ -367,7 +388,7 @@ def test_lazy_exports_resolve_and_star_import_binds_them():
     script = """
 import darcais
 names = darcais.__all__
-assert len(names) == len(set(names)) == 38, names
+assert len(names) == len(set(names)) == 36, names
 star = {}
 exec("from darcais import *", star)
 assert all(star[name] is getattr(darcais, name) for name in names)
