@@ -59,24 +59,32 @@ bytes it would format from its ints.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from collections.abc import Mapping
-from pathlib import Path
 
 from . import polynomials
 
 CACHE_HEADER = "DARCAIS-CACHE v1"
-CACHE_ENV_VAR = "DARCAIS_CACHE"
 
 _HEADER_LINE = CACHE_HEADER.encode("ascii") + b"\n"
 _RECORD_BYTES = b"0123456789 \n"  # with the colons, all a record line holds
 _HEADER_REST = _HEADER_LINE.translate(None, _RECORD_BYTES)
-_ZERO_OR_DOUBLE_SPACE = re.compile(b" 0|  ")
 
 
 class CacheError(ValueError):
     """The cache file is missing, malformed, or inconsistent."""
+
+
+def clean_path(path: str | os.PathLike) -> str:
+    """path as pathlib.Path prints it, which is also how every message
+    names it: no empty or "." components and no trailing slash ("./d//f"
+    is "d/f"), "." if nothing is left.  The operating system resolves
+    the clean path to the same file as pathlib does."""
+    path = os.fspath(path)
+    root = "/" if path.startswith("/") else ""
+    if path.startswith("//") and not path.startswith("///"):
+        root = "//"
+    return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
 
 
 class _TextRecords(Mapping):
@@ -120,7 +128,7 @@ def _canonical_texts(data: bytes) -> dict[int, memoryview] | None:
         return None
     rest = data.translate(None, _RECORD_BYTES)
     colons = len(rest) - len(_HEADER_REST)
-    if rest != _HEADER_REST + b":" * colons or _ZERO_OR_DOUBLE_SPACE.search(data):
+    if rest != _HEADER_REST + b":" * colons or b" 0" in data or b"  " in data:
         return None
     # int() refuses more digits than this (Python 3.10.7 on; 0: no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -146,14 +154,15 @@ def _canonical_texts(data: bytes) -> dict[int, memoryview] | None:
     return texts if n == colons else None
 
 
-def read_cache(path: str | Path) -> Mapping[int, tuple[int, ...]]:
+def read_cache(path: str | os.PathLike) -> Mapping[int, tuple[int, ...]]:
     """Parse and validate a cache file; returns {n: (a_0..a_{n-1})}.
 
     A canonical file is checked without converting a number, and its
     records stay text until looked up (module docstring)."""
-    path = Path(path)
+    path = clean_path(path)
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
     texts = _canonical_texts(data)
@@ -162,7 +171,7 @@ def read_cache(path: str | Path) -> Mapping[int, tuple[int, ...]]:
     return _parse_lines(path, data)
 
 
-def _parse_lines(path: Path, data: bytes) -> dict[int, tuple[int, ...]]:
+def _parse_lines(path: str, data: bytes) -> dict[int, tuple[int, ...]]:
     """The line parser: accepts any valid cache file, refuses the rest."""
     try:
         # splitlines() breaks at "\r\n" and "\r" as at "\n", so the lines
@@ -213,7 +222,7 @@ def _format_record(n: int) -> bytes:
     return " ".join(map(str, record.numer_coeffs)).encode("ascii")
 
 
-def write_cache(path: str | Path, max_n: int) -> None:
+def write_cache(path: str | os.PathLike, max_n: int) -> None:
     """Write records for n = 1..max_n (computing any that are missing).
 
     A record loaded from a canonical file is written as the bytes it was
@@ -226,8 +235,8 @@ def write_cache(path: str | Path, max_n: int) -> None:
     """
     if max_n < 1:
         raise ValueError("cache needs max_n >= 1")
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    path = clean_path(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER_LINE)
@@ -240,11 +249,14 @@ def write_cache(path: str | Path, max_n: int) -> None:
                 fh.write(b"\n")
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 
 
-def load_into_memo(path: str | Path) -> int:
+def load_into_memo(path: str | os.PathLike) -> int:
     """Read a cache file and seed the in-process memo; returns the number
     of records loaded, which is also the largest n (records run from 1 with
     no gaps).  The records of a canonical file go in as their text.
@@ -258,7 +270,3 @@ def load_into_memo(path: str | Path) -> int:
         raise CacheError(f"cache {path} rejected: {exc}") from exc
     return len(records)
 
-
-def default_cache_path() -> str | None:
-    """Cache location from the environment, if configured."""
-    return os.environ.get(CACHE_ENV_VAR)

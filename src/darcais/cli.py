@@ -17,24 +17,31 @@ failed, 2 = bad usage or unreadable input.
 
 from __future__ import annotations
 
-import argparse
+import errno
 import math
 import os
 import sys
 import time
-from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from types import SimpleNamespace
 
-from . import cache as cache_mod
 from . import polynomials, shape
-from .cache import CacheError
+from .plain import Plain
 from .reports import ARTIFACT_VERSION, CertReport
 
-# fractions, the integer kernel (exactnum) and the root and PF
-# certificates are imported by the subcommands that use them, so that a
-# shape or poly --normalized process loads none of them
-if TYPE_CHECKING:
+# argparse is imported only for a command the reader below declines
+# (help, the version, a usage error); fractions, the integer kernel
+# (exactnum), the root and PF certificates and the cache module are
+# imported by the subcommands that use them.  So a well-formed shape,
+# poly or verify job loads none of them.
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    import argparse
+    from collections.abc import Sequence
     from fractions import Fraction
+
+    Args = argparse.Namespace | SimpleNamespace  # argparse's, or _read_args'
+
+CACHE_ENV_VAR = "DARCAIS_CACHE"
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -57,34 +64,49 @@ class UsageError(Exception):
 # -- shared helpers ----------------------------------------------------------
 
 
+def _has_directory(path: str) -> bool:
+    """Whether the directory of the file path names exists."""
+    from .cache import clean_path
+
+    return os.path.isdir(os.path.dirname(clean_path(path)) or ".")
+
+
 def _cache_path(value: str) -> str:
-    """Parser type of --cache: the file may be missing, its directory not."""
-    if not Path(value).parent.is_dir():
+    """Option type of --cache: the file may be missing, its directory not."""
+    if not _has_directory(value):
+        import argparse  # only to word the refusal as argparse prints it
+
         raise argparse.ArgumentTypeError(f"{value}: directory does not exist")
     return value
 
 
-def _resolve_cache_path(args: argparse.Namespace) -> str | None:
+def _resolve_cache_path(args: Args) -> str | None:
     """The cache file from --cache or else the environment.  The --cache
     rule holds for both: the file may be missing, its directory not."""
-    path = getattr(args, "cache", None)
-    if path:
-        return path  # the parser has checked its directory
-    path = cache_mod.default_cache_path()
-    if path and not Path(path).parent.is_dir():
-        raise UsageError(
-            f"{cache_mod.CACHE_ENV_VAR}={path}: directory does not exist"
-        )
+    if args.cache:
+        return args.cache  # the option's type has checked its directory
+    path = os.environ.get(CACHE_ENV_VAR)
+    if path and not _has_directory(path):
+        raise UsageError(f"{CACHE_ENV_VAR}={path}: directory does not exist")
     return path
 
 
-def _maybe_load_cache(args: argparse.Namespace) -> int:
+def _maybe_load_cache(args: Args) -> int:
     """Seed the memo from the resolved cache file, if it exists; returns
     the number of records loaded."""
     path = args._cache_path
-    if path and Path(path).exists():
-        return cache_mod.load_into_memo(path)
-    return 0
+    if not path:
+        return 0
+    from . import cache
+
+    try:
+        os.stat(cache.clean_path(path))
+    except OSError as exc:
+        # the errors pathlib's exists() takes for a missing file
+        if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+            return 0
+        raise
+    return cache.load_into_memo(path)
 
 
 def _read_argument(value: str, what: str) -> tuple[str, str]:
@@ -92,8 +114,11 @@ def _read_argument(value: str, what: str) -> tuple[str, str]:
     from: the file's text if the path exists, else the value itself."""
     if not os.path.exists(value):
         return value, "argument"
+    from .cache import clean_path
+
     try:
-        return Path(value).read_text(encoding="ascii"), f"file {value}"
+        with open(clean_path(value), encoding="ascii") as fh:
+            return fh.read(), f"file {value}"
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {what} file {value}: {exc}")
 
@@ -127,7 +152,7 @@ def _print_report(report: CertReport) -> None:
 # -- poly --------------------------------------------------------------------
 
 
-def cmd_poly(args: argparse.Namespace) -> int:
+def cmd_poly(args: Args) -> int:
     n = args.n
     if n < 0:
         raise UsageError("--n must be nonnegative")
@@ -141,17 +166,24 @@ def cmd_poly(args: argparse.Namespace) -> int:
         )
         print(" ".join(str(c) for c in coeffs))
     else:
-        from fractions import Fraction
-
-        fact = math.factorial(n)
         coeffs = (
             polynomials.q_scaled_coeffs(n) if args.shifted
             else polynomials.scaled_coeffs(n)
         )
-        print(" ".join(str(Fraction(c, fact)) for c in coeffs))
+        fact = math.factorial(n)
+        print(" ".join(_over(c, fact) for c in coeffs))
     if args._cache_path and n > loaded:
-        cache_mod.write_cache(args._cache_path, n)
+        from .cache import write_cache
+
+        write_cache(args._cache_path, n)
     return EXIT_OK
+
+
+def _over(num: int, den: int) -> str:
+    """num/den in lowest terms as str(Fraction(num, den)) prints it, for
+    den > 0: the numerator alone when the denominator is 1."""
+    g = math.gcd(num, den)
+    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
 
 
 # -- verify ------------------------------------------------------------------
@@ -177,7 +209,7 @@ def _parse_injection(value: str) -> dict[str, tuple[int, Fraction]]:
     return {route: (index, delta)}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: Args) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
     _maybe_load_cache(args)
@@ -207,7 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- roots -------------------------------------------------------------------
 
 
-def cmd_roots(args: argparse.Namespace) -> int:
+def cmd_roots(args: Args) -> int:
     from fractions import Fraction
 
     from . import rootcert
@@ -312,7 +344,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 # -- pf ----------------------------------------------------------------------
 
 
-def cmd_pf(args: argparse.Namespace) -> int:
+def cmd_pf(args: Args) -> int:
     from . import pf_tnn
 
     if (args.n is None) == (args.coeffs is None):
@@ -418,7 +450,7 @@ def _parse_doctor(value: str, max_n: int):
     return override
 
 
-def cmd_shape(args: argparse.Namespace) -> int:
+def cmd_shape(args: Args) -> int:
     if args.max_n < 0:
         raise UsageError("--max-n must be nonnegative")
     limit = SHAPE_FULL_LIMIT if args.full_1000 else SHAPE_DESK_LIMIT
@@ -459,10 +491,145 @@ def cmd_shape(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# -- parser ------------------------------------------------------------------
+# -- arguments ---------------------------------------------------------------
+
+
+class Option(Plain):
+    """One option of a subcommand, in the terms of argparse's add_argument:
+    a value of the given type (bool: a flag, store_true), its default, and
+    whether it is required; choices, help and metavar as argparse has them.
+    The destination is the name without its dashes, as argparse derives it.
+    """
+
+    __slots__ = ("name", "type", "default", "required", "choices", "help", "metavar",
+                 "aliases", "dest")
+    derived = ("dest",)
+
+    def __init__(self, name: str, type=str, default=None, required: bool = False,
+                 choices: tuple | None = None, help: str | None = None,
+                 metavar: str | None = None, aliases: tuple[str, ...] = ()):
+        self.name = name
+        self.type = type
+        self.default = False if type is bool else default
+        self.required = required
+        self.choices = choices
+        self.help = help
+        self.metavar = metavar
+        self.aliases = aliases
+        self.dest = name.lstrip("-").replace("-", "_")
+
+
+def _cache_option(use: str) -> Option:
+    return Option("--cache", _cache_path, help=f"normalized-record cache file {use}")
+
+
+# verify and shape take their Q_n rows from the Q recurrence, so the P
+# records buy them nothing but the validation of the file
+_VALIDATE = "to validate only (the Q_n rows come from their own recurrence)"
+
+# every subcommand once, in the order help lists them: its help line, the
+# function that runs it and its options; build_parser and _read_args both
+# read this table
+COMMANDS = {
+    "poly": ("print P_n (or the shifted Q_n)", cmd_poly, (
+        Option("--n", int, required=True),
+        Option("--normalized", bool, help=(
+            "print the integer-normalized record instead of rational coefficients"
+        )),
+        Option("--shifted", bool, help="print Q_n(x) = P_n(x+1) instead"),
+        _cache_option("to reuse and extend"),
+    )),
+    "verify": ("cross-check hook-length identities", cmd_verify, (
+        Option("--conjecture", choices=tuple(sorted(CONJECTURE_ROUTES)), required=True,
+               help=(
+                   "1: trivial-leg hook sum; no: full Nekrasov-Okounkov hook sum; "
+                   "corollary: trivial-arm and binomial-product sums"
+               )),
+        Option("--max-n", int, required=True),
+        Option("--force", bool, help="compute past the per-route feasibility bounds"),
+        Option("--inject-error", metavar="ROUTE:INDEX[:DELTA]", help=(
+            "diagnostic: perturb one route's output to exercise the failure path"
+        )),
+        _cache_option(_VALIDATE),
+    )),
+    "roots": ("root-location certificates", cmd_roots, (
+        Option("--n", int, help="use the normalized P_n numerator / x"),
+        Option("--poly", help="polynomial coefficients (inline tokens or a file path)"),
+        Option("--isolate", bool, aliases=("--sturm",),
+               help="isolate the real roots (honors --max-width)"),
+        Option("--max-width", default="1",
+               help="maximum isolation interval width (exact rational, default 1)"),
+        Option("--hurwitz", bool, help="add the Routh-Hurwitz verdict"),
+        _cache_option("to reuse"),
+    )),
+    "pf": ("Polya frequency test with minor witness", cmd_pf, (
+        Option("--n", int, help="test the normalized P_n numerator sequence"),
+        Option("--coeffs",
+               help="sequence to test (comma or space separated, or a file path)"),
+        Option("--max-order", int, default=32),
+        Option("--max-shift", int, default=8),
+        Option("--strip-linear", metavar="R1,R2,...",
+               help="divide out exact rational roots (e.g. -1) before testing"),
+        _cache_option("to reuse"),
+    )),
+    "shape": ("coefficient shape table for Q_n", cmd_shape, (
+        Option("--max-n", int, default=SHAPE_DESK_LIMIT),
+        Option("--full-1000", bool,
+               help=f"allow the full range up to n = {SHAPE_FULL_LIMIT}"),
+        Option("--format", choices=("csv", "jsonl"), default="csv"),
+        Option("--doctor", metavar="N:INDEX:VALUE",
+               help="diagnostic: force one coefficient to exercise the failure path"),
+        _cache_option(_VALIDATE),
+    )),
+}
+
+
+def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What build_parser().parse_args(argv) returns, for a command in the
+    form jobs use: a subcommand, then options by their exact long names,
+    as "--opt value", "--opt=value" or a flag.  None for anything else:
+    help, the version, an abbreviation, "--opt" followed by a value that
+    starts with "-" or by nothing, a missing required option, a value
+    that its type or choices refuse, or any other token.  main hands
+    those to argparse, the only code that prints help and usage errors.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    by_name = {name: opt for opt in options for name in (opt.name, *opt.aliases)}
+    values = {opt.dest: opt.default for opt in options}
+    missing = {opt.dest for opt in options if opt.required}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        opt = by_name.get(name)
+        if opt is None or (equals and opt.type is bool):
+            return None
+        if opt.type is bool:
+            values[opt.dest] = True
+            continue
+        if not equals:
+            value = next(tokens, "-")  # no value left: declined like a dash
+            if value.startswith("-"):
+                return None
+        try:
+            value = opt.type(value)
+        except Exception:  # argparse calls the type again and words the refusal
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+        missing.discard(opt.dest)
+    if missing:
+        return None
+    return SimpleNamespace(command=argv[0], **values, func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser for COMMANDS: what _read_args reproduces, and
+    what prints help, the version and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="darcais",
         description=(
@@ -475,111 +642,41 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {ARTIFACT_VERSION}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("poly", help="print P_n (or the shifted Q_n)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--normalized", action="store_true",
-        help="print the integer-normalized record instead of rational coefficients",
-    )
-    p.add_argument(
-        "--shifted", action="store_true", help="print Q_n(x) = P_n(x+1) instead"
-    )
-    p.set_defaults(func=cmd_poly)
-
-    p = sub.add_parser("verify", help="cross-check hook-length identities")
-    p.add_argument(
-        "--conjecture", choices=sorted(CONJECTURE_ROUTES), required=True,
-        help=(
-            "1: trivial-leg hook sum; no: full Nekrasov-Okounkov hook sum; "
-            "corollary: trivial-arm and binomial-product sums"
-        ),
-    )
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument(
-        "--force", action="store_true",
-        help="compute past the per-route feasibility bounds",
-    )
-    p.add_argument(
-        "--inject-error", metavar="ROUTE:INDEX[:DELTA]",
-        help="diagnostic: perturb one route's output to exercise the failure path",
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("roots", help="root-location certificates")
-    p.add_argument("--n", type=int, help="use the normalized P_n numerator / x")
-    p.add_argument(
-        "--poly", help="polynomial coefficients (inline tokens or a file path)"
-    )
-    p.add_argument(
-        "--isolate", "--sturm", dest="isolate", action="store_true",
-        help="isolate the real roots (honors --max-width)",
-    )
-    p.add_argument(
-        "--max-width", default="1",
-        help="maximum isolation interval width (exact rational, default 1)",
-    )
-    p.add_argument(
-        "--hurwitz", action="store_true", help="add the Routh-Hurwitz verdict"
-    )
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("pf", help="Polya frequency test with minor witness")
-    p.add_argument("--n", type=int, help="test the normalized P_n numerator sequence")
-    p.add_argument(
-        "--coeffs",
-        help="sequence to test (comma or space separated, or a file path)",
-    )
-    p.add_argument("--max-order", type=int, default=32)
-    p.add_argument("--max-shift", type=int, default=8)
-    p.add_argument(
-        "--strip-linear", metavar="R1,R2,...",
-        help="divide out exact rational roots (e.g. -1) before testing",
-    )
-    p.set_defaults(func=cmd_pf)
-
-    p = sub.add_parser("shape", help="coefficient shape table for Q_n")
-    p.add_argument("--max-n", type=int, default=SHAPE_DESK_LIMIT)
-    p.add_argument(
-        "--full-1000", action="store_true",
-        help=f"allow the full range up to n = {SHAPE_FULL_LIMIT}",
-    )
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument(
-        "--doctor", metavar="N:INDEX:VALUE",
-        help="diagnostic: force one coefficient to exercise the failure path",
-    )
-    p.set_defaults(func=cmd_shape)
-
-    # verify and shape take their Q_n rows from the Q recurrence, so the
-    # P records buy them nothing but the validation of the file
-    validate = "to validate only (the Q_n rows come from their own recurrence)"
-    cache_use = {"poly": "to reuse and extend", "verify": validate, "shape": validate}
-    for name, p in sub.choices.items():
-        p.add_argument(
-            "--cache", type=_cache_path,
-            help=f"normalized-record cache file {cache_use.get(name, 'to reuse')}",
-        )
+    for command, (summary, func, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for opt in options:
+            names = (opt.name, *opt.aliases)
+            if opt.type is bool:
+                p.add_argument(*names, dest=opt.dest, action="store_true", help=opt.help)
+            else:
+                p.add_argument(
+                    *names, dest=opt.dest, type=opt.type, default=opt.default,
+                    required=opt.required, choices=opt.choices, help=opt.help,
+                    metavar=opt.metavar,
+                )
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         args._cache_path = _resolve_cache_path(args)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except CacheError as exc:
-        sys.stderr.write(f"cache error: {exc}\n")
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
+        from .cache import CacheError  # loaded already if it raised one
+
+        kind = "cache error" if isinstance(exc, CacheError) else "input error"
+        sys.stderr.write(f"{kind}: {exc}\n")
         return EXIT_USAGE
     except shape.InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")

@@ -18,9 +18,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence, Union
 
-Scalar = Union[int, Fraction]
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from collections.abc import Iterable, Iterator, Sequence
+
+    Scalar = int | Fraction
 
 
 # -- kernel on coefficient lists, constant term first ----------------------
@@ -185,7 +188,7 @@ class ExactPoly:
     def __neg__(self) -> ExactPoly:
         return ExactPoly(-c for c in self._coeffs)
 
-    def __mul__(self, other: Union[ExactPoly, Scalar]) -> ExactPoly:
+    def __mul__(self, other: ExactPoly | Scalar) -> ExactPoly:
         if isinstance(other, ExactPoly):
             if self.is_zero or other.is_zero:
                 return ExactPoly()

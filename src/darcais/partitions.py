@@ -21,11 +21,15 @@ row's cells itself.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterator, Sequence, TypeVar
 
 from .plain import Frozen
 
-State = TypeVar("State")
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from collections.abc import Callable, Iterator, Sequence
+    from typing import TypeVar
+
+    State = TypeVar("State")
 
 
 class HookSelector(Enum):

@@ -33,10 +33,13 @@ import math
 import time
 from fractions import Fraction
 from itertools import count
-from typing import Iterator, Sequence
 
 from . import rootcert
 from .plain import Frozen
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from collections.abc import Iterator, Sequence
 
 
 class ToeplitzSeq(Frozen):

@@ -58,13 +58,14 @@ from __future__ import annotations
 import math
 import time
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .partitions import HookSelector, grow_rows
 from .plain import Frozen
 from .reports import CertReport
 
-if TYPE_CHECKING:
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from collections.abc import Callable, Iterable, Iterator, Mapping
     from fractions import Fraction
 
 # Feasibility defaults for the partition-sum routes, from one budget: each

@@ -8,12 +8,88 @@ the same input are byte-identical except for the timings field.
 
 from __future__ import annotations
 
-from typing import Any
-
 from .plain import Plain
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from typing import Any
 
 ARTIFACT_VERSION = "0.1.0"
 REPORT_SCHEMA = "darcais-report/1"
+
+_INFINITY = float("inf")
+# the escapes json writes in place of a character, where it has a short one
+_SHORT_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+}
+
+
+def encode_json(value: Any) -> str:
+    """value as json.dumps(value, sort_keys=True, separators=(",", ":"))
+    writes it, for the values a report holds: dicts, lists and tuples of
+    str, int, float, bool and None, nested.  With json's other defaults,
+    every character outside " " to "~" is escaped (ensure_ascii), and the
+    floats nan and +-inf are written NaN and +-Infinity.  A dict key may
+    be a str, int, float, bool or None, as json allows.  Any other value
+    raises TypeError.  Importing json would cost every job more than a
+    report takes to write."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return f"[{','.join(map(encode_json, value))}]"
+    if isinstance(value, dict):
+        # sorted as json sorts them: by key, before keys are written
+        return "{" + ",".join(
+            f"{_key(k)}:{encode_json(v)}" for k, v in sorted(value.items())
+        ) + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key: object) -> str:
+    if isinstance(key, str):
+        return _string(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{encode_json(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _string(text: str) -> str:
+    """text as a JSON string with json's ASCII escapes."""
+    if text.isascii() and text.isprintable():  # all of " " to "~"
+        if '"' in text or "\\" in text:
+            text = text.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{text}"'
+    return f'"{"".join(map(_char, text))}"'
+
+
+def _char(char: str) -> str:
+    escape = _SHORT_ESCAPES.get(char)
+    if escape is not None:
+        return escape
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    # outside the basic plane: a UTF-16 surrogate pair, as json writes it
+    code -= 0x10000
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
 
 
 class CertReport(Plain):
@@ -59,11 +135,7 @@ class CertReport(Plain):
         return self.verdict == "pass"
 
     def to_json(self) -> str:
-        # imported here, where it is used: a shape table printed as CSV
-        # renders no report as JSON and so never loads json
-        import json
-
-        return json.dumps(
+        return encode_json(
             {
                 "schema": self.schema,
                 "version": self.version,
@@ -73,7 +145,5 @@ class CertReport(Plain):
                 "details": self.details,
                 "witnesses": self.witnesses,
                 "timings": self.timings,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )

@@ -22,10 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Sequence
 
 from .exactnum import (
-    Scalar,
     poly_gcd,
     prem_signed,
     primitive_int_coeffs,
@@ -33,6 +31,12 @@ from .exactnum import (
     shift_by_one,
 )
 from .plain import Frozen
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from collections.abc import Sequence
+
+    from .exactnum import Scalar
 
 
 class RootAtEndpointError(ValueError):

@@ -36,13 +36,14 @@ exact products.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import polynomials
 from .plain import Frozen
 from .reports import CertReport
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: the integer sweep never loads fractions
+    from collections.abc import Callable, Iterable, Sequence
     from fractions import Fraction
 
     Number = Fraction | int

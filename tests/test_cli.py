@@ -596,13 +596,13 @@ class TestCache:
 
     def test_environment_cache_is_created_and_used(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "env.cache"
-        monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(path))
+        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(path))
         code, _, _ = run(capsys, "poly", "--n", "4")
         assert code == EXIT_OK
         assert sorted(cache_mod.read_cache(path)) == [1, 2, 3, 4]
 
     def test_missing_environment_cache_is_fine(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(tmp_path / "absent.cache"))
+        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "absent.cache"))
         code, out, _ = run(capsys, "verify", "--conjecture", "1", "--max-n", "2")
         assert code == EXIT_OK
 
@@ -620,15 +620,15 @@ class TestCache:
         self, capsys, tmp_path, monkeypatch, command
     ):
         path = tmp_path / "absent" / "records.cache"
-        monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(path))
+        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(path))
         code, out, err = run(capsys, *command)
         assert code == EXIT_USAGE
         assert out == ""
-        assert cache_mod.CACHE_ENV_VAR in err and str(path) in err
+        assert cli.CACHE_ENV_VAR in err and str(path) in err
         assert list(tmp_path.iterdir()) == []
 
     def test_explicit_cache_overrides_environment(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, str(tmp_path / "absent" / "x.cache"))
+        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "absent" / "x.cache"))
         path = tmp_path / "records.cache"
         code, out, _ = run(capsys, "poly", "--n", "3", "--cache", str(path))
         assert code == EXIT_OK

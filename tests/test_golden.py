@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from darcais import cache as cache_mod
+from darcais import cli
 from darcais.cli import main
 from darcais.exactnum import ExactPoly
 from darcais.polynomials import darcais_record
@@ -63,7 +63,7 @@ def refuse(op):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, monkeypatch):
-    monkeypatch.delenv(cache_mod.CACHE_ENV_VAR, raising=False)
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
     for op in RING_OPERATORS:
         monkeypatch.setattr(ExactPoly, op, refuse(op))
     case = CASES[name]

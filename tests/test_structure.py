@@ -140,7 +140,13 @@ def test_everything_in_the_package_is_reached_from_the_cli():
     # methods are outside the walk, Python calls them implicitly.
     reach, _, keys = _package_reach()
     reached = reach(*ROOTS, *ALLOWED)
-    checked = {key for key in keys if not _is_dunder(key.rsplit(".", 1)[1])}
+    # a module's TYPE_CHECKING = False is read by its own `if TYPE_CHECKING:`
+    # on import, which guards annotation-only imports; the walk follows no
+    # module-level `if`
+    checked = {
+        key for key in keys
+        if not _is_dunder(key.rsplit(".", 1)[1]) and not key.endswith(".TYPE_CHECKING")
+    }
     assert sorted(checked - reached) == []
     # and the package exports nothing the walk does not see
     defined = {key.split(".")[1] for key in checked}
@@ -297,45 +303,72 @@ print("loaded:", *[m for m in {modules!r} if m in sys.modules])
 """
 
 
+# what argument parsing, JSON and paths would load: argparse (which brings
+# gettext, locale and shutil), json, typing, pathlib and re.  A well-formed
+# command is read without argparse, reports are written without json, and
+# no module imports typing or pathlib at run time
+_START_UP = ("argparse", "gettext", "locale", "shutil", "json", "typing", "pathlib")
+
+
+def _modules_loaded(argv, modules, script=None):
+    """The job's output lines and the given modules that it loads.  The
+    job runs under -S, so that what a site configuration imports at
+    start-up does not count."""
+    script = _RUN_AS_MAIN if script is None else script
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script.format(modules=modules), *argv],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    *out, loaded = result.stdout.splitlines()
+    assert loaded.split()[0] == "loaded:", argv
+    return out, loaded.split()[1:]
+
+
 def test_shape_and_poly_jobs_import_only_integer_code(tmp_path):
-    # a shape sweep or a poly --normalized job computes on ints alone, and
-    # each job is a fresh process: json, fractions (which brings decimal)
-    # and the rational and certificate modules would only add start-up time
-    unused = ("json", "fractions", "decimal", "darcais.exactnum", "darcais.rootcert",
-              "darcais.pf_tnn")
+    # a shape sweep or a poly job computes on ints alone, and each job is a
+    # fresh process: json, fractions (which brings decimal and re), the
+    # rational and certificate modules, argument parsing and the cache
+    # module without a cache would only add start-up time
+    unused = (*_START_UP, "re", "fractions", "decimal", "darcais.exactnum",
+              "darcais.rootcert", "darcais.pf_tnn")
     path = tmp_path / "records.cache"
     from darcais.cache import write_cache
 
     write_cache(path, 3)  # so that poly reads, converts and extends a file
-    for argv in (
-        ["poly", "--n", "5", "--normalized", "--cache", str(path)],
-        ["shape", "--max-n", "5", "--cache", str(path)],
-        ["shape", "--max-n", "5"],
+    for argv, cached in (
+        (["poly", "--n", "5", "--normalized", "--cache", str(path)], True),
+        (["shape", "--max-n", "5", "--cache", str(path)], True),
+        (["shape", "--max-n", "5"], False),
+        (["poly", "--n", "5"], False),
+        (["poly", "--n", "5", "--shifted"], False),
     ):
-        result = subprocess.run(
-            [sys.executable, "-c", _RUN_AS_MAIN.format(modules=unused), *argv],
-            env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
-            capture_output=True, text=True, timeout=60, check=True,
-        )
-        assert result.stdout.splitlines()[-1].split() == ["loaded:"], argv
+        modules = unused if cached else (*unused, "darcais.cache")
+        assert _modules_loaded(argv, modules)[1] == [], argv
     assert path.read_text().splitlines()[-1].startswith("5: ")  # poly extended it
 
 
 def test_verify_jobs_import_only_integer_code():
     # a verify job compares integer rows and builds a Fraction only for a
     # witness, so a run that passes loads neither the rational arithmetic
-    # nor the root and PF certificates (it prints JSON, so json is loaded)
-    unused = ("fractions", "decimal", "darcais.exactnum", "darcais.rootcert",
-              "darcais.pf_tnn")
+    # nor the root and PF certificates; its reports are written without json
+    unused = (*_START_UP, "re", "fractions", "decimal", "darcais.exactnum",
+              "darcais.rootcert", "darcais.pf_tnn", "darcais.cache")
     argv = ["verify", "--conjecture", "corollary", "--max-n", "8"]
-    result = subprocess.run(
-        [sys.executable, "-c", _RUN_AS_MAIN.format(modules=unused), *argv],
-        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    *reports, loaded = result.stdout.splitlines()
+    reports, loaded = _modules_loaded(argv, unused)
     assert len(reports) == 8
-    assert loaded.split() == ["loaded:"]
+    assert loaded == []
+
+
+def test_root_and_pf_jobs_load_no_argument_parser_json_or_paths():
+    # roots and pf read rational input, so they load fractions (and with it
+    # re), but nothing else of what start-up used to cost
+    for argv, code in ((["roots", "--n", "10", "--hurwitz"], 0), (["pf", "--n", "10"], 1)):
+        out, loaded = _modules_loaded(
+            argv, (*_START_UP, "darcais.cache"), script=_RUN_AS_MAIN_ANY_EXIT
+        )
+        assert out[-1] == f"exit: {code}", argv
+        assert loaded == [], argv
 
 
 def test_polynomials_never_reach_exactnum():
@@ -362,9 +395,9 @@ print("loaded:", *[m for m in {modules!r} if m in sys.modules])
 
 
 def test_witness_and_rational_poly_jobs_load_no_rational_polynomials():
-    # a verify witness and the rational poly lines are Fractions over
-    # integer rows: fractions is loaded, the rational polynomials and the
-    # root and PF certificates are not
+    # a verify witness is a Fraction over integer rows: fractions is
+    # loaded, the rational polynomials and the root and PF certificates are
+    # not; the rational poly lines are reduced by math.gcd and load none
     unused = ("darcais.exactnum", "darcais.rootcert", "darcais.pf_tnn")
     for argv, code in (
         (["verify", "--conjecture", "corollary", "--max-n", "3",
