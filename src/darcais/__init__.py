@@ -14,9 +14,9 @@ Every computation is exact: arbitrary-precision integers and rationals
 throughout, no floating point on any certification path.
 
 Each exported name is imported from its module on first use (PEP 562),
-so a process imports only the modules it runs: a `shape` sweep or
-`poly --normalized` job loads neither the rational arithmetic nor the
-root and PF certificates, nor `json` and `fractions` with them.
+so a process imports only the modules it runs: a `shape`, `poly` or
+`verify` job loads neither the rational arithmetic nor the root and PF
+certificates, nor `fractions` with them.
 """
 
 from importlib import import_module

@@ -76,10 +76,10 @@ class CacheError(ValueError):
 
 
 def clean_path(path: str | os.PathLike) -> str:
-    """path as pathlib.Path prints it, which is also how every message
-    names it: no empty or "." components and no trailing slash ("./d//f"
-    is "d/f"), "." if nothing is left.  The operating system resolves
-    the clean path to the same file as pathlib does."""
+    """path as pathlib.Path prints it, and so as read_cache and write_cache
+    name it in their errors: no empty or "." components and no trailing
+    slash ("./d//f" is "d/f"), "." if nothing is left.  The operating
+    system resolves the clean path to the same file as pathlib does."""
     path = os.fspath(path)
     root = "/" if path.startswith("/") else ""
     if path.startswith("//") and not path.startswith("///"):
