@@ -29,28 +29,27 @@ message, exactly as if the parser read it.  The check requires:
   (a) the file starts with the header line;
   (b) deleting every byte of "0123456789 \\n" from it leaves the header's
       other bytes followed by colons only, k of them;
-  (c) it contains neither " 0" nor two adjacent spaces;
-  (d) after the header it splits into exactly k lines, each ending in
-      "\\n", where line n starts with "n: ", holds n spaces, ends with
-      " 1", and has no run of more than D digits.
+  (c) after the header it splits into exactly k lines, each ending in
+      "\\n", where line n starts with "n: ";
+  (d) the rest of line n, its tail, split at every space, gives n
+      tokens t_1..t_n, none empty, none starting with "0", none longer
+      than D bytes, and t_n = "1".
 
 Proof that such a file is canonical and that the parser accepts it with
 the same ints.  By (b) every byte after the header line is a digit, a
-space, a newline or one of k colons; each of the k lines of (d) has a
-colon in its prefix "n: ", so there is no other colon.  The rest of
-line n, its tail, holds the other n - 1 spaces.  It does not start with
-a space ("  " with the prefix's, excluded by (c)), does not end with
-one (it ends with "1"), and has no two adjacent spaces, so it is n
-nonempty runs of digits t_1..t_n separated by single spaces, the last
-being "1".  Each t_i follows a space, so by (c) none starts with "0".
-The parser then decodes the file (all bytes are ASCII) and splits it
-into the header and the k lines, since "\\n" is the only line break
-present.  A line has no surrounding whitespace; it partitions at the
-prefix's colon into n and the tail, int(head) = n is the expected
-index, and tail.split() gives t_1..t_n.  int() takes each (at most D
-digits) to a positive int, because its first digit is 1-9, and t_n to
-1.  So the parser accepts the file with n coefficients per record, the
-last 1 and all positive, and they are the ints of the tokens.  Since no
+space, a newline or one of k colons; each of the k lines of (c) has a
+colon in its prefix "n: ", so there is no other colon.  So the tail of
+line n holds digits and spaces only, and by (d) it is n nonempty runs of
+digits t_1..t_n separated by single spaces, none starting with "0" and
+none longer than D, the last being "1".  The parser then decodes the
+file (all bytes are ASCII) and splits it into the header and the k
+lines, since "\\n" is the only line break present.  A line has no
+surrounding whitespace; it partitions at the prefix's colon into n and
+the tail, int(head) = n is the expected index, and tail.split() gives
+t_1..t_n.  int() takes each (at most D digits) to a positive int,
+because its first digit is 1-9, and t_n to 1.  So the parser accepts
+the file with n coefficients per record, the last 1 and all positive,
+and they are the ints of the tokens.  Since no
 token has a leading zero, str() of each int gives back its token, so
 write_cache writing a record's text as it was read writes exactly the
 bytes it would format from its ints.
@@ -106,21 +105,6 @@ class _TextRecords(Mapping):
         return len(self.texts)
 
 
-def _tokens_within(data: bytes, start: int, end: int, limit: int) -> bool:
-    """No run of digits in the tail data[start:end] is longer than limit.
-
-    The tail's tokens are separated by single spaces, data[start - 1] is
-    a space, and the last token is "1", so a longer one ends at a space.
-    A run of limit + 1 or more digits covers limit + 1 consecutive
-    positions, so it contains one of the sampled positions, which are
-    limit + 1 apart from start + limit on; the token through each sample
-    is measured between its spaces."""
-    for p in range(start + limit, end, limit + 1):
-        if data.find(b" ", p, end) - data.rfind(b" ", start - 1, p + 1) - 1 > limit:
-            return False
-    return True
-
-
 def _canonical_texts(data: bytes) -> dict[int, memoryview] | None:
     """{n: text of record n} if data is a canonical cache file (checks
     (a)-(d) of the module docstring), else None."""
@@ -128,7 +112,7 @@ def _canonical_texts(data: bytes) -> dict[int, memoryview] | None:
         return None
     rest = data.translate(None, _RECORD_BYTES)
     colons = len(rest) - len(_HEADER_REST)
-    if rest != _HEADER_REST + b":" * colons or b" 0" in data or b"  " in data:
+    if rest != _HEADER_REST + b":" * colons:
         return None
     # int() refuses more digits than this (Python 3.10.7 on; 0: no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -141,12 +125,16 @@ def _canonical_texts(data: bytes) -> dict[int, memoryview] | None:
         end = data.find(b"\n", start)
         prefix = b"%d: " % n
         tail = start + len(prefix)
+        if end < 0 or not data.startswith(prefix, start):
+            return None
+        tokens = data[tail:end].split(b" ")
+        # the tail holds digits and spaces only, so a token below "1" is
+        # empty or starts with "0"
         if (
-            end < 0
-            or not data.startswith(prefix, start)
-            or data.count(b" ", start, end) != n
-            or not data.startswith(b" 1\n", end - 2)
-            or (limit and not _tokens_within(data, tail, end, limit))
+            len(tokens) != n
+            or min(tokens) < b"1"
+            or tokens[-1] != b"1"
+            or (limit and max(map(len, tokens)) > limit)
         ):
             return None
         texts[n] = view[tail:end]
