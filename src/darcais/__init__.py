@@ -16,7 +16,8 @@ throughout, no floating point on any certification path.
 Each exported name is imported from its module on first use (PEP 562),
 so a process imports only the modules it runs: a `shape`, `poly` or
 `verify` job loads neither the rational arithmetic nor the root and PF
-certificates, nor `fractions` with them.
+certificates, nor `fractions` with them, and a `shape` or `poly` job,
+which walks no partitions, does not load `partitions` or `enum` either.
 """
 
 from importlib import import_module

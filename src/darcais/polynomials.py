@@ -59,7 +59,6 @@ import math
 import time
 from itertools import zip_longest
 
-from .partitions import HookSelector, grow_rows
 from .plain import Frozen
 from .reports import CertReport
 
@@ -67,6 +66,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only
     from collections.abc import Callable, Iterable, Iterator, Mapping
     from fractions import Fraction
+
+    from .partitions import HookSelector
 
 # Feasibility defaults for the partition-sum routes, from one budget: each
 # bound is the largest n at which the route takes at most about 1 s (best
@@ -329,6 +330,10 @@ def _packed_sums(
     def finish(carried: tuple[int, ...], size: int) -> int:
         return carried[0] * _exact_quotient(denoms[size], carried[1])
 
+    # partitions (and with it enum) is loaded only where a route walks, so
+    # that poly and shape jobs, which walk none, do not load it
+    from .partitions import grow_rows
+
     totals = grow_rows(lo, hi, seed, make_grow(1 << slot), finish)
     return [tuple(_read_slots(t, slot, n + 1)) for n, t in enumerate(totals, start=lo)]
 
@@ -343,6 +348,7 @@ def _hook_grow(selector: HookSelector, z: int) -> Callable:
     so those stay independent of the binomial route.  Each selector has a
     step of its own, so a cell costs only the test its selector makes.
     """
+    from .partitions import HookSelector
 
     def full(carried: tuple[int, int], p: int, below: int, legs: list[int]):
         value, hook_prod = carried
@@ -377,7 +383,7 @@ def _hook_grow(selector: HookSelector, z: int) -> Callable:
     }[selector]
 
 
-def _hook_sum(lo: int, hi: int, selector: HookSelector) -> list[tuple[int, ...]]:
+def _hook_sum(lo: int, hi: int, selector: HookSelector | str) -> list[tuple[int, ...]]:
     """For each n in [lo, hi]: n!^e * Q_n(z) as integer coefficients, from
     a sum over the partitions lambda of n of prod_{h in hooks} (1 + z / h^e):
 
@@ -388,7 +394,11 @@ def _hook_sum(lo: int, hi: int, selector: HookSelector) -> list[tuple[int, ...]]
       * trivial-arm hooks, e = 1: the conjugate refined sum.
 
     n!^e is divisible by every per-partition hook product (once for the
-    trivial selectors, squared for the full multiset)."""
+    trivial selectors, squared for the full multiset).  The selector is a
+    HookSelector or its value."""
+    from .partitions import HookSelector
+
+    selector = HookSelector(selector)
     exp = 2 if selector is HookSelector.FULL else 1
     return _packed_sums(lo, hi, exp, (1, 1), lambda z: _hook_grow(selector, z))
 
@@ -424,9 +434,9 @@ def _binomial_sums(lo: int, hi: int) -> list[tuple[int, ...]]:
 # walks once over the sizes in [lo, hi] and lists, from lo, each n's
 # integer coefficients of n!^e * Q_n, constant term first.
 _ROUTES: dict[str, tuple[Callable[[int, int], list[tuple[int, ...]]], int]] = {
-    "full_hooks": (lambda lo, hi: _hook_sum(lo, hi, HookSelector.FULL), 2),
-    "trivial_legs": (lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_LEG), 1),
-    "trivial_arms": (lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_ARM), 1),
+    "full_hooks": (lambda lo, hi: _hook_sum(lo, hi, "full"), 2),
+    "trivial_legs": (lambda lo, hi: _hook_sum(lo, hi, "trivial_leg"), 1),
+    "trivial_arms": (lambda lo, hi: _hook_sum(lo, hi, "trivial_arm"), 1),
     "binomials": (_binomial_sums, 1),
 }
 

@@ -15,6 +15,16 @@ onto (0, 1), that interval is halved until every piece has V <= 1.  A
 root exactly at a halving point is counted there and divided out.  The
 bisection needs distinct roots, so it runs on the square-free part of p
 and counts every root once, whatever its multiplicity.
+
+The bisection tests only what its answer needs.  Descartes counts are
+subadditive (Eigenwillig, Sharma and Yap, ISSAC 2006): the two halves of
+a piece, and a root at its midpoint, count at most V together.  So a
+right half is tested only when the left half and the midpoint leave it
+room for two roots or more; room for one means one root, by parity, and
+room for none means none.  is_real_rooted stops, with False, as soon as
+the roots found and the counts still open cannot reach the degree.  A
+`roots` job asks several questions of one polynomial and bisects each
+side of it once for all of them.
 """
 
 from __future__ import annotations
@@ -200,8 +210,12 @@ def _deflate_at_one(q: list[int]) -> list[int]:
     return list(accumulate(q[:0:-1]))[::-1]
 
 
-def _unit_roots(g: list[int]) -> list[tuple[int, int, list[int] | None]]:
-    """The roots of g in (0, 1); g square free, nonzero at 0 and 1.
+def _unit_roots(
+    g: list[int], v: int, least: int = 0
+) -> list[tuple[int, int, list[int] | None]] | None:
+    """The roots of g in (0, 1); g square free, nonzero at 0 and 1, and v
+    its count _descartes(g).  None, as soon as that is proven, when fewer
+    than `least` roots are in (0, 1).
 
     Each root is (c, k, q).  When q is None the root is c / 2^k.
     Otherwise it is the only root in the open interval
@@ -209,6 +223,36 @@ def _unit_roots(g: list[int]) -> list[tuple[int, int, list[int] | None]]:
     roots in that interval, g((c + t) / 2^k); q is nonzero at t = 0 and
     t = 1, because every root found at a halving point is divided out of
     both halves.
+
+    Not every half is tested.  Split a node q with count V into
+    l(t) = q(t / 2) and r(t) = q((t + 1) / 2), and write [m] for 1 when
+    q(1/2) = 0, else 0.  Then V(l) + V(r) + [m] <= V.  V is the number of
+    sign changes of q's Bernstein coefficients on [0, 1], since
+    (t + 1)^d q(1 / (t + 1)) has them times positive binomials as its
+    coefficients.  De Casteljau's subdivision at 1/2 gives the Bernstein
+    coefficients of l and r as averages of q's, and that map diminishes
+    variations: the coefficients of l, then those of r, which share the
+    value q(1/2), change sign at most V times.  When q(1/2) = 0 that
+    shared value is 0 and the root is simple, so its neighbours in the
+    joined sequence have the signs of -q'(1/2) and q'(1/2), opposite ones,
+    and the joined sequence has V(l) + V(r) + 1 changes.  Dividing a root
+    at 1/2 out of l, or at 0 out of r, multiplies their transforms
+    (t + 1)^d q(1 / (t + 1)) by -1/t or leaves them as they are, so their
+    counts do not change.  So V(r) <= room = V - V(l) - [m].  Each count
+    also has the parity of the roots it bounds (Descartes' rule), and q's
+    roots in (0, 1) are l's, r's and the midpoint, so V(r) and room have
+    the same parity.  Hence:
+      * room = 0: V(r) = 0, and r is not built;
+      * room = 1: V(r) = 1, and r is built as a leaf, without a test;
+      * room >= 2: r is tested.
+    Every leaf, and the order of the leaves, is what testing every half
+    gives.
+
+    The sum of the counts of the nodes still open, plus the roots found,
+    bounds the roots not yet ruled out, since each count bounds the roots
+    in its interval (Descartes' rule).  A split changes that sum by
+    V(l) + V(r) + [m] - V <= 0, so it never rises, and once it is below
+    `least`, fewer than `least` roots are in (0, 1).
 
     The depth is bounded.  The node (c, k) stands for the interval
     I = (c / 2^k, (c + 1) / 2^k) of width w = 2^-k, and its count V is
@@ -233,12 +277,12 @@ def _unit_roots(g: list[int]) -> list[tuple[int, int, list[int] | None]]:
     norm_bits = sum(a * a for a in g).bit_length()
     limit = (d.bit_length() * (d + 2) + 1) // 2 + (d - 1) * ((norm_bits + 1) // 2)
     found: list[tuple[int, int, list[int] | None]] = []
-    todo = [(0, 0, g)]
+    todo = [(0, 0, g, v)] if v else []  # nodes with a count of at least 1
+    bound = v  # len(found) + the counts in todo
     while todo:
-        c, k, q = todo.pop()
-        v = _descartes(q)
-        if v == 0:
-            continue
+        if bound < least:
+            return None
+        c, k, q, v = todo.pop()
         if v == 1:
             found.append((c, k, q))
             continue
@@ -253,12 +297,22 @@ def _unit_roots(g: list[int]) -> list[tuple[int, int, list[int] | None]]:
         if twos:  # a positive factor, so no sign changes
             left = [a >> twos for a in left]
         c, k = 2 * c, k + 1
-        if sum(left) == 0:  # q(1/2) = 0
+        mid = sum(left) == 0  # q(1/2) = 0
+        if mid:
             found.append((c + 1, k, None))
             left = _deflate_at_one(left)
-        todo.append((c + 1, k, shift_by_one(left)))
-        todo.append((c, k, left))
-    return found
+        v_left = _descartes(left)
+        v_right = v - v_left - mid  # the room, which is V(right) if below 2
+        if v_right:
+            right = shift_by_one(left)
+            if v_right >= 2:
+                v_right = _descartes(right)
+        bound += mid + v_left + v_right - v
+        if v_right:
+            todo.append((c + 1, k, right, v_right))
+        if v_left:
+            todo.append((c, k, left, v_left))
+    return found if bound >= least else None
 
 
 class _Root:
@@ -298,16 +352,48 @@ class _Root:
             self.hi = mid
 
 
+def _unit_poly(f: Sequence[int], side: int) -> list[int]:
+    """The positive roots of f(side * x), scaled onto (0, 1); f(0) != 0.
+
+    With 2^B a bound on them, the scaled polynomial 2^(Bd) f(side 2^B t)
+    or 2^(-Bd) f(side 2^B t) has integer coefficients and the same roots
+    in (0, 1), and is nonzero at t = 0 and t = 1.
+    """
+    bound = _root_bound_exponent(f)
+    d = len(f) - 1
+    h = [c if side > 0 or i % 2 == 0 else -c for i, c in enumerate(f)]
+    if bound >= 0:
+        return [c << (bound * i) for i, c in enumerate(h)]
+    return [c << (-bound * (d - i)) for i, c in enumerate(h)]
+
+
+@lru_cache(maxsize=2)
+def _side_leaves(
+    f: tuple[int, ...], side: int
+) -> tuple[tuple[int, int, tuple[int, ...] | None], ...]:
+    """The roots (c, k, q) of _unit_roots for _unit_poly(f, side).
+
+    The last two answers are kept.  A `roots` job asks about both sides
+    of one polynomial in count_real_roots, all_real_roots_negative and
+    isolate_real_roots, and so bisects each side once.  The leaves are
+    immutable; _real_roots builds fresh _Root objects from them on every
+    call, because halve() changes those.
+    """
+    g = _unit_poly(f, side)
+    return tuple(
+        (c, k, None if q is None else tuple(q))
+        for c, k, q in _unit_roots(g, _descartes(g))
+    )
+
+
 def _real_roots(
-    f: list[int], negative: bool = True, positive: bool = True
+    f: Sequence[int], negative: bool = True, positive: bool = True
 ) -> list[_Root]:
     """The real roots of the square-free integer polynomial f: zero if it
     is a root, the negative ones if asked, the positive ones if asked.
 
-    A side's roots are the positive roots of f(x) or f(-x); with 2^B a
-    bound on them, the scaled polynomial 2^(Bd) f(+-2^B t) or
-    2^(-Bd) f(+-2^B t) has integer coefficients and the same roots in
-    (0, 1), and is nonzero at t = 0 and t = 1.
+    A side's roots are the positive roots of f(x) or f(-x), found in
+    (0, 1) after scaling by 2^B (_unit_poly).
     """
     roots = []
     if f[0] == 0:
@@ -315,18 +401,11 @@ def _real_roots(
         f = f[1:]
     if len(f) < 2:
         return roots
-    d = len(f) - 1
-    bound = _root_bound_exponent(f)
-    scale = Fraction(2) ** bound
+    scale = Fraction(2) ** _root_bound_exponent(f)
     for side, wanted in ((-1, negative), (1, positive)):
         if not wanted:
             continue
-        h = [c if side > 0 or i % 2 == 0 else -c for i, c in enumerate(f)]
-        if bound >= 0:
-            g = [c << (bound * i) for i, c in enumerate(h)]
-        else:
-            g = [c << (-bound * (d - i)) for i, c in enumerate(h)]
-        for c, k, q in _unit_roots(g):
+        for c, k, q in _side_leaves(tuple(f), side):
             x0 = side * scale * Fraction(c, 1 << k)
             if q is None:
                 roots.append(_Root(exact=x0))
@@ -515,9 +594,28 @@ def square_free_part(p: Sequence[Scalar]) -> tuple[int, ...]:
 def is_real_rooted(p: Sequence[Scalar]) -> bool:
     """Whether every complex root of p is real (counted without
     multiplicity, which loses nothing): p has as many distinct real roots
-    as its square-free part has degree."""
+    as its square-free part has degree.
+
+    False is returned as soon as it is proven.  As it bisects a side,
+    _unit_roots keeps a bound on that side's roots: the roots found plus
+    the Descartes counts of the intervals still open.  The other side's
+    roots are bounded by its count while the negative side is bisected,
+    and are known when the positive side is.  Once the two, and 0 if it
+    is a root, fall below the degree of the square-free part, some root
+    is not real.  True needs both sides bisected to the end.
+    """
     f = _square_free(_primitive(p))
-    return len(_real_roots(f)) == len(f) - 1
+    if f[0] == 0:
+        f = f[1:]
+    need = len(f) - 1  # the nonzero roots, each simple
+    if need < 1:
+        return True
+    negative, positive = _unit_poly(f, -1), _unit_poly(f, 1)
+    v_negative, v_positive = _descartes(negative), _descartes(positive)
+    found = _unit_roots(negative, v_negative, least=need - v_positive)
+    if found is None:
+        return False
+    return _unit_roots(positive, v_positive, least=need - len(found)) is not None
 
 
 def all_real_roots_negative(p: Sequence[Scalar]) -> bool:

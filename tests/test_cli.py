@@ -9,7 +9,7 @@ import pytest
 
 from darcais import cache as cache_mod
 from darcais import cli
-from darcais import polynomials, rootcert
+from darcais import partitions, polynomials, rootcert
 from darcais.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from darcais.pf_tnn import ToeplitzSeq, pf_test
 from darcais.polynomials import darcais_record
@@ -73,13 +73,13 @@ class TestVerify:
     def walks(self, monkeypatch):
         """The (lo, hi) of every partition walk the test makes, in order."""
         made = []
-        walk = polynomials.grow_rows
+        walk = partitions.grow_rows
 
         def counted(lo, hi, *args):
             made.append((lo, hi))
             return walk(lo, hi, *args)
 
-        monkeypatch.setattr(polynomials, "grow_rows", counted)
+        monkeypatch.setattr(partitions, "grow_rows", counted)
         return made
 
     def test_proven_identity_passes(self, capsys):
@@ -800,6 +800,31 @@ class TestSquareFreenessOncePerPolynomial:
         details = parse_lines(out)[0]["details"]
         assert details["square_free"] is False and details["real_root_count"] == 2
         assert calls == {"certificate": 1, "gcd": 1}
+
+
+class TestBisectionOncePerSide:
+    """count_real_roots, all_real_roots_negative and isolate_real_roots ask
+    about the negative and the positive roots of one polynomial; each side
+    is bisected once for all of them."""
+
+    def test_roots_n66_bisects_each_side_once(self, capsys, monkeypatch):
+        rootcert._side_leaves.cache_clear()
+        bisected = []
+        unit_roots = rootcert._unit_roots
+
+        def counted(g, *args, **kwargs):
+            bisected.append(tuple(g))
+            return unit_roots(g, *args, **kwargs)
+
+        monkeypatch.setattr(rootcert, "_unit_roots", counted)
+        try:
+            code, out, _ = run(capsys, "roots", "--n", "66", "--hurwitz", "--isolate")
+        finally:
+            rootcert._side_leaves.cache_clear()
+        assert code == EXIT_OK
+        details = parse_lines(out)[0]["details"]
+        assert details["real_root_count"] == len(details["intervals"]) == 43
+        assert len(bisected) == len(set(bisected)) == 2
 
 
 class TestOutputContract:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darcais import polynomials
+from darcais import partitions, polynomials
 from darcais.exactnum import ExactPoly
 from darcais.partitions import HookSelector, enumerate_partitions
 from darcais.polynomials import (
@@ -294,13 +294,13 @@ class TestHookRoutes:
 def walks(monkeypatch):
     """The (lo, hi) of every partition walk the test makes, in order."""
     made = []
-    walk = polynomials.grow_rows
+    walk = partitions.grow_rows
 
     def counted(lo, hi, *args):
         made.append((lo, hi))
         return walk(lo, hi, *args)
 
-    monkeypatch.setattr(polynomials, "grow_rows", counted)
+    monkeypatch.setattr(partitions, "grow_rows", counted)
     return made
 
 

@@ -552,3 +552,110 @@ class TestBisectionDepth:
         intervals = isolate_real_roots(p, max_width=Fraction(1, a**4))
         check_isolation(p, intervals, Fraction(1, a**4))
         assert len(intervals) == 3
+
+
+# factors whose roots test the bisection's edge cases: dyadic roots, which
+# fall on halving points, other rationals, close pairs (a +- sqrt 2) / b,
+# complex pairs and a root at 0; each may be repeated
+_FACTORS = st.one_of(
+    st.builds(lambda a, k: ExactPoly([-a, 2**k]), st.integers(-40, 40), st.integers(0, 4)),
+    st.builds(lambda a, b: ExactPoly([-a, b]), st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(
+        lambda a, b: ExactPoly([a * a - 2, -2 * a * b, b * b]),
+        st.integers(-60, 60), st.integers(20, 4000),
+    ),
+    st.builds(
+        lambda a, c: ExactPoly([a * a // 4 + c, a, 1]), st.integers(-10, 10), st.integers(1, 20)
+    ),
+    st.just(ExactPoly([0, 1])),
+)
+
+
+@st.composite
+def _edge_polynomials(draw):
+    p = ExactPoly([draw(st.sampled_from([-3, -1, 1, 2]))])
+    for factor, mult in draw(
+        st.lists(st.tuples(_FACTORS, st.integers(1, 2)), min_size=1, max_size=4)
+    ):
+        for _ in range(mult):
+            p = p * factor
+    return p
+
+
+def _leaves_testing_every_half(g):
+    """The Descartes leaves of g on (0, 1), as a bisection that tests both
+    halves of every node finds them, in the order it finds them.  Checks
+    V(left) + V(right) + [midpoint root] <= V at every split."""
+    found, todo = [], [(0, 0, g)]
+    while todo:
+        c, k, q = todo.pop()
+        v = rootcert._descartes(q)
+        if v == 0:
+            continue
+        if v == 1:
+            found.append((c, k, q))
+            continue
+        d = len(q) - 1
+        left = [a << (d - i) for i, a in enumerate(q)]
+        twos = min((a & -a).bit_length() for a in left if a) - 1
+        left = [a >> twos for a in left]
+        c, k = 2 * c, k + 1
+        mid = sum(left) == 0
+        if mid:
+            found.append((c + 1, k, None))
+            left = rootcert._deflate_at_one(left)
+        right = rootcert.shift_by_one(left)
+        assert rootcert._descartes(left) + rootcert._descartes(right) + mid <= v
+        todo.append((c + 1, k, right))
+        todo.append((c, k, left))
+    return found
+
+
+class TestBisectionSkipsDecidedHalves:
+    """The bisection skips halves whose counts subadditivity decides, and
+    is_real_rooted stops once too few roots can be left; both checked
+    against Sturm's theorem and against the bisection that tests all."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_edge_polynomials())
+    def test_counts_verdicts_and_intervals_agree_with_sturm(self, p):
+        total = sturm_count(p)
+        distinct = len(p.coeffs) - 1 - sturm_tail_degree(p)
+        assert count_real_roots(p) == total
+        assert is_real_rooted(p) == (total == distinct)
+        width = Fraction(1, 8)
+        check_isolation(p, isolate_real_roots(p, max_width=width), width)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_edge_polynomials())
+    def test_the_leaves_are_those_of_testing_every_half(self, p):
+        f = square_free_part(p)
+        if f[0] == 0:
+            f = f[1:]
+        if len(f) < 2:
+            return
+        for side in (-1, 1):
+            g = rootcert._unit_poly(f, side)
+            v = rootcert._descartes(g)
+            leaves = _leaves_testing_every_half(g)
+            assert rootcert._unit_roots(g, v) == leaves
+            # None exactly when fewer than `least` roots are in (0, 1)
+            for least in range(len(leaves) - 1, len(leaves) + 3):
+                found = rootcert._unit_roots(g, v, least=least)
+                assert (found is None) == (len(leaves) < least)
+
+    def test_real_rootedness_stops_before_the_full_count(self, monkeypatch):
+        shifts = []
+        shift = rootcert.shift_by_one
+
+        def counted(q):
+            shifts.append(1)
+            return shift(q)
+
+        monkeypatch.setattr(rootcert, "shift_by_one", counted)
+        p = numerator(60)
+        assert not is_real_rooted(p)
+        early = len(shifts)
+        rootcert._side_leaves.cache_clear()
+        assert count_real_roots(p) == 35
+        assert 0 < early < len(shifts) - early

@@ -328,10 +328,11 @@ def _modules_loaded(argv, modules, script=None):
 def test_shape_and_poly_jobs_import_only_integer_code(tmp_path):
     # a shape sweep or a poly job computes on ints alone, and each job is a
     # fresh process: json, fractions (which brings decimal and re), the
-    # rational and certificate modules, argument parsing and the cache
-    # module without a cache would only add start-up time
+    # rational and certificate modules, the partition walks with the enum
+    # their selectors use, argument parsing and the cache module without a
+    # cache would only add start-up time
     unused = (*_START_UP, "re", "fractions", "decimal", "darcais.exactnum",
-              "darcais.rootcert", "darcais.pf_tnn")
+              "darcais.rootcert", "darcais.pf_tnn", "darcais.partitions", "enum")
     path = tmp_path / "records.cache"
     from darcais.cache import write_cache
 
