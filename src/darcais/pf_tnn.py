@@ -9,22 +9,18 @@ a_0 + a_1 x + ... + a_d x^d has only real roots.
 pf_test decides PF through that equivalence (delegating real-rootedness
 to the root counts in rootcert) and, for a failing sequence, also
 hunts down an explicit negative contiguous minor - a matrix-side
-certificate independent of the root count.  Minors are evaluated
-exactly by Bareiss fraction-free elimination, rational sequences after
-scaling to integers.
+certificate independent of the root count.  Minors are exact integers,
+those of rational sequences after scaling to integers.
 
-The search needs no elimination per window.  By Sylvester's identity
-(Bareiss, Math. Comp. 22, 1968) the k-th pivot of fraction-free
-elimination without row exchanges is the k x k leading principal minor,
-and the order-k window at row shift s is the leading block of every
-larger window at that shift.  So each shift keeps one elimination,
-grown by a bordered row and column per order, and all shifts step
-together, order first, then shift, so the witness is the first
-negative window in that order.  A zero pivot ends its shift's chain;
-every later order at that shift is evaluated by toeplitz_minor, which
-exchanges rows.  The window at shift s is zero more than s columns
-right of its diagonal, so bordering to order k takes O(k s) big-integer
-steps, where a fresh elimination takes O(k^3).
+The search needs no elimination per window.  Write D_k(s) for the
+determinant of the order-k window at row shift s.  The Desnanot-Jacobi
+identity on the window of order k + 1 relates it to three windows of
+order k and one of order k - 1 (the Pade-table identity; Gragg, SIAM Review 14, 1972),
+so the windows form a table that is built one order at a time with one
+exact division per cell, order first, then shift, and the witness is the
+first negative window in that order.  Only a cell whose divisor is zero
+is evaluated afresh, by Bareiss elimination with row exchanges in
+toeplitz_minor, in O(k^3).
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from itertools import count
 
 from . import rootcert
 from .plain import Frozen
@@ -136,9 +131,11 @@ class PFVerdict(Frozen):
                      turned up within the search bounds
     timings          seconds per stage (real_rootedness, minor_search),
                      and for a search the counts minors (windows
-                     evaluated) and minors_by_pivoting (those evaluated
-                     afresh by toeplitz_minor after a zero pivot);
-                     not part of equality or the hash"""
+                     swept) and minors_by_pivoting (cells of the minor
+                     table evaluated afresh by toeplitz_minor, because
+                     their divisor was zero; these include cells past
+                     max_shift that later orders need); not part of
+                     equality or the hash"""
 
     __slots__ = ("is_pf", "witness", "cross_check", "search_exhausted", "timings")
     uncompared = ("timings",)
@@ -241,74 +238,58 @@ def _minor_search(
     seq: ToeplitzSeq, max_order: int, max_shift: int
 ) -> tuple[MinorWitness | None, int, int]:
     """The first negative contiguous minor in (order, shift) order, with
-    the number of minors evaluated and how many of those needed a fresh
-    elimination with row exchanges."""
-    chains = [_leading_minors(seq.ints, shift) for shift in range(max_shift + 1)]
-    minors = by_pivoting = 0
-    for order in range(1, max_order + 1):
-        for shift, chain in enumerate(chains):
-            minors += 1
-            pivot = next(chain, None)
-            if pivot is not None and pivot >= 0:
-                continue
+    the number of windows swept and how many table cells were evaluated
+    afresh."""
+    minors = fresh = 0
+    for order, shift, det, afresh in _minor_table(seq, max_order, max_shift):
+        fresh += afresh
+        if shift > max_shift:
+            continue
+        minors += 1
+        if det < 0:
             spec = contiguous_minor_spec(order, row_start=shift)
-            if pivot is None:
-                by_pivoting += 1
-                det = toeplitz_minor(seq, spec)
-            else:
-                det = Fraction(pivot, seq.scale**order)
-            if det < 0:
-                return MinorWitness(spec, det), minors, by_pivoting
-    return None, minors, by_pivoting
+            return MinorWitness(spec, Fraction(det, seq.scale**order)), minors, fresh
+    return None, minors, fresh
 
 
-def _leading_minors(ints: Sequence[int], shift: int) -> Iterator[int]:
-    """Yield det of the k x k window at row `shift`, column 0, of the
-    Toeplitz matrix of ints, for k = 1, 2, ...: the Bareiss pivots of that
-    window, bordered by one row and column per order.  Stops after the
-    first zero, past which Bareiss would divide by it."""
+def _minor_table(
+    seq: ToeplitzSeq, max_order: int, max_shift: int
+) -> Iterator[tuple[int, int, int, bool]]:
+    """Yield (k, s, D_k(s), afresh) for k = 1 .. max_order, and for each k
+    s = 0 .. max_shift + max_order - k, order first.  D_k(s) is the
+    determinant of the order-k window at row shift s of the Toeplitz
+    matrix of seq.ints.
+
+    The cells come from the Desnanot-Jacobi identity on that window,
+
+        D_{k+1}(s) D_{k-1}(s) = D_k(s)^2 - D_k(s + 1) D_k(s - 1),
+
+    with D_0 = 1, D_1(s) = a_s, D_k(-1) = 0 (the window's top row is
+    zero) and D_k(s) = 0 for s at or past the sequence's end (so is its
+    bottom row).  Order k + 1 needs order k at shift s + 1, so order k
+    runs to shift max_shift + max_order - k.  A cell whose divisor
+    D_{k-1}(s) is zero is evaluated afresh by toeplitz_minor, which
+    exchanges rows.
+    """
+    ints = seq.ints
     size = len(ints)
-
-    def at(i: int, j: int) -> int:
-        d = shift + i - j
-        return ints[d] if 0 <= d < size else 0
-
-    # after t elimination steps, upper[t][j] is entry (t, j) for j >= t
-    # and lower[i][t] entry (i, t) for i > t; pivots[t] is upper[t][t].
-    # The window is zero more than `shift` columns right of the diagonal,
-    # and stays so under elimination: upper[t][j] = 0 for j > t + shift,
-    # and the new column is zero in rows above k - shift.  A step that
-    # meets such a zero only multiplies an entry by pivots[t] /
-    # pivots[t - 1], so those steps collapse into one product: entry j of
-    # the new row starts at step j - shift times pivots[j - shift - 1],
-    # and the new column and the corner start at step k - shift.
-    upper: list[list[int]] = []
-    lower: list[list[int]] = []
-    pivots: list[int] = []
-    for k in count():
-        start = max(0, k - shift)
-        lead = pivots[start - 1] if start else 1
-        col = [0] * start + [at(i, k) * lead for i in range(start, k)]
-        corner = at(k, k) * lead
-        row = [
-            at(k, j) * (pivots[j - shift - 1] if j > shift else 1)
-            for j in range(k)
-        ]
-        prev = 1
-        for t, pivot in enumerate(pivots):
-            head, pivot_row = row[t], upper[t]
-            for j in range(t + 1, min(k, t + shift + 1)):
-                row[j] = (row[j] * pivot - head * pivot_row[j]) // prev
-            if t >= start:
-                top = col[t]
-                for i in range(t + 1, k):
-                    col[i] = (col[i] * pivot - lower[i][t] * top) // prev
-                corner = (corner * pivot - head * top) // prev
-            pivot_row.append(col[t])
-            prev = pivot
-        yield corner
-        if corner == 0:
-            return
-        upper.append([0] * k + [corner])
-        lower.append(row)
-        pivots.append(corner)
+    below: list[int] = []  # D_{k-1}
+    row = [1] * (max_shift + max_order + 1)  # D_k, from D_0
+    for order in range(1, max_order + 1):
+        cells: list[int] = []
+        for shift in range(max_shift + max_order - order + 1):
+            afresh = False
+            if shift >= size:
+                det = 0
+            elif order == 1:
+                det = ints[shift]
+            elif below[shift]:
+                before = row[shift - 1] if shift else 0
+                det = (row[shift] ** 2 - row[shift + 1] * before) // below[shift]
+            else:
+                afresh = True
+                spec = contiguous_minor_spec(order, row_start=shift)
+                det = int(toeplitz_minor(seq, spec) * seq.scale**order)
+            cells.append(det)
+            yield order, shift, det, afresh
+        below, row = row, cells

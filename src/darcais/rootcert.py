@@ -16,22 +16,33 @@ root exactly at a halving point is counted there and divided out.  The
 bisection needs distinct roots, so it runs on the square-free part of p
 and counts every root once, whatever its multiplicity.
 
-The bisection tests only what its answer needs.  Descartes counts are
+The bisection runs in the Bernstein basis (Mourrain, Rouillier and Roy,
+"The Bernstein basis and real root isolation", 2005).  Those
+coefficients are the ones above up to positive binomials, so V counts
+their sign changes.  One Taylor shift per side converts them, and each
+halving is then one de Casteljau triangle of pairwise integer sums,
+whose two edges are both halves.  A root at the midpoint shows as a
+zero apex.
+
+The bisection counts only what its answer needs.  Descartes counts are
 subadditive (Eigenwillig, Sharma and Yap, ISSAC 2006): the two halves of
 a piece, and a root at its midpoint, count at most V together.  So a
-right half is tested only when the left half and the midpoint leave it
+right half is counted only when the left half and the midpoint leave it
 room for two roots or more; room for one means one root, by parity, and
 room for none means none.  is_real_rooted stops, with False, as soon as
 the roots found and the counts still open cannot reach the degree.  A
 `roots` job asks several questions of one polynomial and bisects each
-side of it once for all of them.
+side of it once for all of them.  A count over an interval that holds
+a whole side takes that side's number of roots, and halves a root's
+piece, in exact dyadic integers, only where an endpoint cuts it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
+from functools import lru_cache, reduce
+from math import comb, lcm
+from operator import add, or_
 
 from .exactnum import (
     poly_gcd,
@@ -151,13 +162,12 @@ def _sign_changes(values: Sequence[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sign_at(f: Sequence[int], x: Fraction) -> int:
+def _sign_at(f: Sequence[int], a: int, b: int) -> int:
     """Sign of the integer polynomial f at x = a/b, b > 0.
 
     Evaluated as the homogeneous sum f_0 b^d + f_1 a b^(d-1) + ... +
     f_d a^d, which is b^d f(x) and so has its sign.
     """
-    a, b = x.numerator, x.denominator
     acc, scale = 0, 1
     for c in reversed(f):
         acc = acc * a + c * scale
@@ -195,57 +205,106 @@ def _root_bound_exponent(f: Sequence[int]) -> int:
     return 1 + max(exponents, default=-1)
 
 
-def _descartes(q: Sequence[int]) -> int:
-    """Sign variations of (t + 1)^d q(1 / (t + 1)): the roots of q in
-    (0, 1) plus an even number.  Zero if q has no sign variation at all,
-    since then it has no positive root."""
-    if _sign_changes(q) == 0:
-        return 0
-    return _sign_changes(shift_by_one(reversed(q)))
+def _bernstein(g: Sequence[int]) -> list[int]:
+    """Primitive integer Bernstein coefficients of g on [0, 1], or [] when
+    g has no sign variation, and so no positive root.
+
+    Write g(t) = sum_i beta_i C(d, i) t^i (1 - t)^(d - i).  At
+    t = 1 / (u + 1), t^i (1 - t)^(d - i) = u^(d - i) / (u + 1)^d, so the
+    Taylor shift (u + 1)^d g(1 / (u + 1)) has the coefficient
+    beta_i C(d, i) at u^(d - i).  Times the lcm of the binomials and
+    divided by the content, the beta_i are integers with unchanged signs.
+    """
+    if _sign_changes(g) == 0:
+        return []
+    d = len(g) - 1
+    binomials = [comb(d, i) for i in range(d + 1)]
+    scale = lcm(*binomials)
+    weighted = shift_by_one(reversed(g))[::-1]  # beta_i C(d, i)
+    return primitive_part(w * (scale // c) for w, c in zip(weighted, binomials))
 
 
-def _deflate_at_one(q: list[int]) -> list[int]:
-    """q(t) / (t - 1) for q(1) = 0: the quotient's coefficients are the
-    suffix sums of q's."""
-    return list(accumulate(q[:0:-1]))[::-1]
+def _split(b: list[int]) -> tuple[list[int], list[int]]:
+    """De Casteljau's subdivision of b at 1/2: the Bernstein coefficients
+    of the polynomial on [0, 1/2] and on [1/2, 1], each taken onto
+    [0, 1], both times 2^d.
+
+    Row r of the triangle holds pairwise sums of row r - 1, so 2^r times
+    the averages de Casteljau takes.  The first entry of row r is the left
+    half's coefficient r, the last the right half's coefficient d - r, and
+    row d is one entry, 2^d times the value at 1/2.
+    """
+    d = len(b) - 1
+    row, left, right = b, [b[0]], [b[-1]]
+    for _ in range(d):
+        row = list(map(add, row, row[1:]))
+        left.append(row[0])
+        right.append(row[-1])
+    right.reverse()
+    return [a << (d - r) for r, a in enumerate(left)], [a << r for r, a in enumerate(right)]
+
+
+def _deflate(b: list[int], at_one: bool) -> list[int]:
+    """The polynomial of b divided by 1 - t (at_one) or by t, where it
+    vanishes, in Bernstein coefficients of degree d - 1.
+
+    (1 - t) B^(d-1)_i = (d - i) / d B^d_i and t B^(d-1)_i = (i + 1) / d
+    B^d_(i+1), so the quotient's coefficients are b_i d / (d - i), or
+    b_(i+1) d / (i + 1).  Times lcm(1, ..., d) / d they are integers.
+    """
+    d = len(b) - 1
+    scale = lcm(*range(1, d + 1))
+    if at_one:
+        return primitive_part(a * (scale // (d - i)) for i, a in enumerate(b[:-1]))
+    return primitive_part(a * (scale // (i + 1)) for i, a in enumerate(b[1:]))
+
+
+def _without_twos(b: list[int]) -> list[int]:
+    """b divided by the largest power of two dividing every entry."""
+    bits = reduce(or_, b)
+    twos = (bits & -bits).bit_length() - 1
+    return [a >> twos for a in b] if twos else b
 
 
 def _unit_roots(
-    g: list[int], v: int, least: int = 0
+    g: list[int], b: list[int], least: int = 0
 ) -> list[tuple[int, int, list[int] | None]] | None:
-    """The roots of g in (0, 1); g square free, nonzero at 0 and 1, and v
-    its count _descartes(g).  None, as soon as that is proven, when fewer
-    than `least` roots are in (0, 1).
+    """The roots of g in (0, 1); g square free and nonzero at 0 and 1, and
+    b its Bernstein coefficients (_bernstein).  None, as soon as that is
+    proven, when fewer than `least` roots are in (0, 1).
 
     Each root is (c, k, q).  When q is None the root is c / 2^k.
     Otherwise it is the only root in the open interval
-    (c / 2^k, (c + 1) / 2^k), and q(t) is, up to a nonzero factor without
-    roots in that interval, g((c + t) / 2^k); q is nonzero at t = 0 and
-    t = 1, because every root found at a halving point is divided out of
-    both halves.
+    (c / 2^k, (c + 1) / 2^k), and q holds Bernstein coefficients on [0, 1]
+    of g((c + t) / 2^k) times a nonzero factor without roots in that
+    interval.  q is nonzero at both ends, because every root found at a
+    halving point is divided out of both halves.
+
+    Every count is V, the number of sign changes of a node's Bernstein
+    coefficients, which is Descartes' bound for its interval: the
+    transform (u + 1)^d q(1 / (u + 1)) has those coefficients times
+    positive binomials (_bernstein).
 
     Not every half is tested.  Split a node q with count V into
     l(t) = q(t / 2) and r(t) = q((t + 1) / 2), and write [m] for 1 when
-    q(1/2) = 0, else 0.  Then V(l) + V(r) + [m] <= V.  V is the number of
-    sign changes of q's Bernstein coefficients on [0, 1], since
-    (t + 1)^d q(1 / (t + 1)) has them times positive binomials as its
-    coefficients.  De Casteljau's subdivision at 1/2 gives the Bernstein
-    coefficients of l and r as averages of q's, and that map diminishes
-    variations: the coefficients of l, then those of r, which share the
-    value q(1/2), change sign at most V times.  When q(1/2) = 0 that
-    shared value is 0 and the root is simple, so its neighbours in the
-    joined sequence have the signs of -q'(1/2) and q'(1/2), opposite ones,
-    and the joined sequence has V(l) + V(r) + 1 changes.  Dividing a root
-    at 1/2 out of l, or at 0 out of r, multiplies their transforms
-    (t + 1)^d q(1 / (t + 1)) by -1/t or leaves them as they are, so their
-    counts do not change.  So V(r) <= room = V - V(l) - [m].  Each count
-    also has the parity of the roots it bounds (Descartes' rule), and q's
-    roots in (0, 1) are l's, r's and the midpoint, so V(r) and room have
-    the same parity.  Hence:
-      * room = 0: V(r) = 0, and r is not built;
-      * room = 1: V(r) = 1, and r is built as a leaf, without a test;
-      * room >= 2: r is tested.
-    Every leaf, and the order of the leaves, is what testing every half
+    q(1/2) = 0, else 0.  Then V(l) + V(r) + [m] <= V.  De Casteljau's
+    subdivision at 1/2 gives the Bernstein coefficients of l and r as
+    averages of q's (_split), and that map diminishes variations: the
+    coefficients of l, then those of r, which share the value q(1/2),
+    change sign at most V times.  When q(1/2) = 0 that shared value is 0
+    and the root is simple, so its neighbours in the joined sequence have
+    the signs of -q'(1/2) and q'(1/2), opposite ones, and the joined
+    sequence has V(l) + V(r) + 1 changes.  Dividing 1 - t out of l, or t
+    out of r, multiplies each Bernstein coefficient by a positive number
+    and drops the zero at that end (_deflate), so their counts do not
+    change.  So V(r) <= room = V - V(l) - [m].  Each count also has the
+    parity of the roots it bounds (Descartes' rule), and q's roots in
+    (0, 1) are l's, r's and the midpoint, so V(r) and room have the same
+    parity.  Hence:
+      * room = 0: V(r) = 0, and r is dropped;
+      * room = 1: V(r) = 1, and r is a leaf, without a count;
+      * room >= 2: r's sign changes are counted.
+    Every leaf, and the order of the leaves, is what counting every half
     gives.
 
     The sum of the counts of the nodes still open, plus the roots found,
@@ -276,8 +335,9 @@ def _unit_roots(
     d = len(g) - 1
     norm_bits = sum(a * a for a in g).bit_length()
     limit = (d.bit_length() * (d + 2) + 1) // 2 + (d - 1) * ((norm_bits + 1) // 2)
+    v = _sign_changes(b)
     found: list[tuple[int, int, list[int] | None]] = []
-    todo = [(0, 0, g, v)] if v else []  # nodes with a count of at least 1
+    todo = [(0, 0, b, v)] if v else []  # nodes with a count of at least 1
     bound = v  # len(found) + the counts in todo
     while todo:
         if bound < least:
@@ -291,65 +351,92 @@ def _unit_roots(
                 f"{v} sign variations at bisection depth {k}, past the "
                 "root separation bound: the polynomial is not square free"
             )
-        d = len(q) - 1
-        left = [a << (d - i) for i, a in enumerate(q)]  # 2^d q(t / 2)
-        twos = min((a & -a).bit_length() for a in left if a) - 1
-        if twos:  # a positive factor, so no sign changes
-            left = [a >> twos for a in left]
+        left, right = _split(q)
         c, k = 2 * c, k + 1
-        mid = sum(left) == 0  # q(1/2) = 0
+        mid = right[0] == 0  # q(1/2) = 0
         if mid:
             found.append((c + 1, k, None))
-            left = _deflate_at_one(left)
-        v_left = _descartes(left)
+            left, right = _deflate(left, True), _deflate(right, False)
+        v_left = _sign_changes(left)
         v_right = v - v_left - mid  # the room, which is V(right) if below 2
-        if v_right:
-            right = shift_by_one(left)
-            if v_right >= 2:
-                v_right = _descartes(right)
+        if v_right >= 2:
+            v_right = _sign_changes(right)
         bound += mid + v_left + v_right - v
         if v_right:
-            todo.append((c + 1, k, right, v_right))
+            todo.append((c + 1, k, _without_twos(right), v_right))
         if v_left:
-            todo.append((c, k, left, v_left))
+            todo.append((c, k, _without_twos(left), v_left))
     return found if bound >= least else None
 
 
 class _Root:
-    """One real root: exactly `exact`, or the only root of q in (lo, hi).
+    """One real root of f, on the side x = side 2^bound t, t in (0, 1).
 
-    q is the polynomial of a Descartes leaf in its variable t, which maps
-    to x = x0 + (x1 - x0) t; (lo, hi) lies in (0, 1).  q is nonzero at
-    t = 0 and has one simple root in (0, 1), so below that root q has the
-    sign of q(0) and above it the other sign.  halve() keeps the half of
-    (lo, hi) that holds the root, by the sign of q at the midpoint.
+    In t the root is a / 2^j exactly, when q is None, or else the only
+    root in (a / 2^j, (a + 1) / 2^j), inside the Descartes leaf (c, k).
+    q holds the leaf's Bernstein coefficients on (c / 2^k, (c + 1) / 2^k):
+    it is nonzero at both ends and has one simple root between, so below
+    that root it has the sign of q[0] and above it the other sign.
+    halve() keeps the half that holds the root, by the sign at the
+    midpoint.
     """
 
-    __slots__ = ("exact", "q", "x0", "x1", "lo", "hi")
+    __slots__ = ("side", "bound", "c", "k", "q", "weighted", "a", "j")
 
-    def __init__(self, exact=None, q=None, x0=None, x1=None):
-        assert q is None or (q[0] and sum(q)), "a leaf polynomial vanishes at an end"
-        self.exact = exact
-        self.q, self.x0, self.x1 = q, x0, x1
-        self.lo, self.hi = Fraction(0), Fraction(1)
+    def __init__(self, side: int, bound: int, c: int, k: int, q: Sequence[int] | None):
+        assert q is None or (q[0] and q[-1]), "a leaf polynomial vanishes at an end"
+        self.side, self.bound = side, bound
+        self.c, self.k, self.q = c, k, q
+        self.weighted = None  # q_l C(d, l), once the leaf is halved
+        self.a, self.j = c, k
+
+    @property
+    def exact(self) -> bool:
+        return self.q is None
+
+    def _x(self, a: int) -> Fraction:
+        e = self.bound - self.j
+        x = Fraction(a << e) if e >= 0 else Fraction(a, 1 << -e)
+        return x if self.side > 0 else -x
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         """The interval in x, lower end first; a point for an exact root."""
-        if self.exact is not None:
-            return self.exact, self.exact
-        a = self.x0 + (self.x1 - self.x0) * self.lo
-        b = self.x0 + (self.x1 - self.x0) * self.hi
-        return (a, b) if a < b else (b, a)
+        lo = self._x(self.a)
+        if self.q is None:
+            return lo, lo
+        hi = self._x(self.a + 1)
+        return (lo, hi) if self.side > 0 else (hi, lo)
 
     def halve(self) -> None:
-        mid = (self.lo + self.hi) / 2
-        sign = _sign_at(self.q, mid)
-        if sign == 0:
-            self.exact = self.x0 + (self.x1 - self.x0) * mid
-        elif (sign > 0) == (self.q[0] > 0):
-            self.lo = mid
-        else:
-            self.hi = mid
+        """Keep the half that holds the root.  At the midpoint, u = m / 2^i
+        in the leaf's own variable, 2^(i d) times q's value is the sum of
+        q_l C(d, l) m^l (2^i - m)^(d - l), which _sign_at evaluates."""
+        q = self.q
+        if self.weighted is None:
+            d = len(q) - 1
+            self.weighted = [a * comb(d, l) for l, a in enumerate(q)]
+        i = self.j + 1 - self.k  # the midpoint is (c + m / 2^i) / 2^k
+        m = 2 * self.a + 1 - (self.c << i)
+        sign = _sign_at(self.weighted, m, (1 << i) - m)
+        above = not sign or (sign > 0) == (q[0] > 0)
+        self.a, self.j = 2 * self.a + above, self.j + 1
+        if not sign:
+            self.q = None
+
+    def inside(self, num: int, den: int) -> bool:
+        """Whether num / den, den > 0, lies strictly inside the interval."""
+        if self.q is None:
+            return False
+        at = num << self.j
+        return self.a * den < at < (self.a + 1) * den
+
+    def within(self, lower: tuple[int, int] | None, upper: tuple[int, int] | None) -> bool:
+        """Whether the interval lies in [lower, upper], given in t as
+        (num, den) with den > 0, or None for no bound."""
+        top = self.a + (self.q is not None)
+        return (lower is None or lower[0] << self.j <= self.a * lower[1]) and (
+            upper is None or top * upper[1] <= upper[0] << self.j
+        )
 
 
 def _unit_poly(f: Sequence[int], side: int) -> list[int]:
@@ -382,35 +469,26 @@ def _side_leaves(
     g = _unit_poly(f, side)
     return tuple(
         (c, k, None if q is None else tuple(q))
-        for c, k, q in _unit_roots(g, _descartes(g))
+        for c, k, q in _unit_roots(g, _bernstein(g))
     )
 
 
-def _real_roots(
-    f: Sequence[int], negative: bool = True, positive: bool = True
-) -> list[_Root]:
+def _real_roots(f: Sequence[int]) -> list[_Root]:
     """The real roots of the square-free integer polynomial f: zero if it
-    is a root, the negative ones if asked, the positive ones if asked.
+    is a root, then the negative ones, then the positive ones.
 
     A side's roots are the positive roots of f(x) or f(-x), found in
     (0, 1) after scaling by 2^B (_unit_poly).
     """
     roots = []
     if f[0] == 0:
-        roots.append(_Root(exact=Fraction(0)))
+        roots.append(_Root(1, 0, 0, 0, None))  # exactly 0
         f = f[1:]
     if len(f) < 2:
         return roots
-    scale = Fraction(2) ** _root_bound_exponent(f)
-    for side, wanted in ((-1, negative), (1, positive)):
-        if not wanted:
-            continue
-        for c, k, q in _side_leaves(tuple(f), side):
-            x0 = side * scale * Fraction(c, 1 << k)
-            if q is None:
-                roots.append(_Root(exact=x0))
-            else:
-                roots.append(_Root(q=q, x0=x0, x1=x0 + side * scale / (1 << k)))
+    bound = _root_bound_exponent(f)
+    for side in (-1, 1):
+        roots.extend(_Root(side, bound, c, k, q) for c, k, q in _side_leaves(tuple(f), side))
     return roots
 
 
@@ -460,9 +538,11 @@ def count_real_roots(
     """Distinct real roots of p in (lower, upper]; None means unbounded.
 
     Finite endpoints must not be roots (RootAtEndpointError otherwise).
-    Multiple roots are counted once.  A root whose isolating interval
-    straddles an endpoint is located by halving that interval until it
-    does not.
+    Multiple roots are counted once.  A side (x < 0 or x > 0) whose
+    roots all lie in (lower, upper] adds its number of Descartes leaves.
+    Otherwise a root whose isolating interval straddles an endpoint is
+    located by halving that interval until it does not; the ends are
+    dyadic and are compared with the endpoints in integers.
     """
     f = _square_free(_primitive(p))
     lower = None if lower is None else Fraction(lower)
@@ -470,24 +550,40 @@ def count_real_roots(
     if lower is not None and upper is not None and lower >= upper:
         raise ValueError("interval must satisfy lower < upper")
     for endpoint in (lower, upper):
-        if endpoint is not None and _sign_at(f, endpoint) == 0:
+        if endpoint is not None and not _sign_at(f, endpoint.numerator, endpoint.denominator):
             raise RootAtEndpointError(
                 f"{endpoint} is a root of the polynomial; interval endpoints "
                 "must not be roots - shift the endpoint by a small exact rational"
             )
-    roots = _real_roots(
-        f,
-        negative=lower is None or lower < 0,
-        positive=upper is None or upper > 0,
-    )
     count = 0
-    for root in roots:
-        lo, hi = root.bounds()
-        while any(e is not None and lo < e < hi for e in (lower, upper)):
-            root.halve()
-            lo, hi = root.bounds()
-        count += (lower is None or lo >= lower) and (upper is None or hi <= upper)
+    if f[0] == 0:
+        count += (lower is None or lower < 0) and (upper is None or upper > 0)
+        f = f[1:]
+    if len(f) < 2:
+        return count
+    bound = _root_bound_exponent(f)
+    for side in (-1, 1):
+        # x = side 2^bound t, t in (0, 1); the endpoints in t, lower first
+        ends = [None if e is None else _in_unit(e, side, bound) for e in (lower, upper)]
+        low, high = ends if side > 0 else ends[::-1]
+        if (high is not None and high[0] <= 0) or (low is not None and low[0] >= low[1]):
+            continue
+        leaves = _side_leaves(f, side)
+        if (low is None or low[0] <= 0) and (high is None or high[0] >= high[1]):
+            count += len(leaves)
+            continue
+        for c, k, q in leaves:
+            root = _Root(side, bound, c, k, q)
+            while any(e is not None and root.inside(*e) for e in (low, high)):
+                root.halve()
+            count += root.within(low, high)
     return count
+
+
+def _in_unit(x: Fraction, side: int, bound: int) -> tuple[int, int]:
+    """x / (side 2^bound) as (num, den) with den > 0."""
+    num, den = side * x.numerator, x.denominator
+    return (num, den << bound) if bound >= 0 else (num << -bound, den)
 
 
 def isolate_real_roots(p: Sequence[Scalar], max_width: Scalar = 1) -> list[RootInterval]:
@@ -507,12 +603,12 @@ def isolate_real_roots(p: Sequence[Scalar], max_width: Scalar = 1) -> list[RootI
         raise ValueError("max_width must be positive")
     roots = sorted(
         _real_roots(f),
-        key=lambda root: (root.bounds()[0], root.exact is None),
+        key=lambda root: (root.bounds()[0], not root.exact),
     )
-    exact = {root.exact for root in roots if root.exact is not None}
+    exact = {root.bounds()[0] for root in roots if root.exact}
     for root in roots:
         lo, hi = root.bounds()
-        while root.exact is None and (
+        while not root.exact and (
             hi - lo > max_width or lo in exact or hi in exact
         ):
             root.halve()
@@ -520,7 +616,7 @@ def isolate_real_roots(p: Sequence[Scalar], max_width: Scalar = 1) -> list[RootI
     intervals = []
     for i, root in enumerate(roots):
         lo, hi = root.bounds()
-        if root.exact is not None:
+        if root.exact:
             half = max_width / 2
             if i > 0:
                 half = min(half, (lo - roots[i - 1].bounds()[1]) / 2)
@@ -611,11 +707,11 @@ def is_real_rooted(p: Sequence[Scalar]) -> bool:
     if need < 1:
         return True
     negative, positive = _unit_poly(f, -1), _unit_poly(f, 1)
-    v_negative, v_positive = _descartes(negative), _descartes(positive)
-    found = _unit_roots(negative, v_negative, least=need - v_positive)
+    b_negative, b_positive = _bernstein(negative), _bernstein(positive)
+    found = _unit_roots(negative, b_negative, least=need - _sign_changes(b_positive))
     if found is None:
         return False
-    return _unit_roots(positive, v_positive, least=need - len(found)) is not None
+    return _unit_roots(positive, b_positive, least=need - len(found)) is not None
 
 
 def all_real_roots_negative(p: Sequence[Scalar]) -> bool:

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +16,7 @@ from darcais.pf_tnn import (
     pf_test,
     toeplitz_minor,
     _det_bareiss,
-    _leading_minors,
+    _minor_table,
 )
 
 from oracles import first_negative_minor, is_integral, toeplitz_entry
@@ -258,35 +257,64 @@ class TestPFTest:
             pf_test(ToeplitzSeq((1,)), max_shift=-1)
 
 
+def table_cells(max_order, max_shift):
+    """(order, shift) of every cell of the minor table, in its order."""
+    for order in range(1, max_order + 1):
+        for shift in range(max_shift + max_order - order + 1):
+            yield order, shift
+
+
+def fresh_cells(ints, cells):
+    """The cells whose Desnanot-Jacobi divisor, the window two orders down
+    at the same shift, is zero, by the oracle; cells at or past the end of
+    the sequence are zero without one."""
+    return [
+        (order, shift) for order, shift in cells
+        if order >= 3 and shift < len(ints) and leading_det(ints, shift, order - 2) == 0
+    ]
+
+
 class TestLeadingMinors:
-    # the bordered elimination of one row shift against a fresh elimination
-    # of each leading block; the entries run small so that zeros, both in
-    # the sequence and as minors, are common
+    # the Desnanot-Jacobi table of every row shift against a fresh
+    # elimination of each window; the entries run small so that zeros,
+    # both in the sequence and as minors, and so zero divisors, are common
     @settings(derandomize=True, max_examples=300)
     @given(
         st.lists(st.integers(0, 3), min_size=1, max_size=8),
         st.integers(0, 9),
     )
-    def test_each_value_is_the_leading_minor(self, ints, shift):
-        values = list(islice(_leading_minors(ints, shift), 10))
-        expected = []
-        for order in range(1, 11):
-            expected.append(leading_det(ints, shift, order))
-            if expected[-1] == 0:
-                break
-        assert values == expected
+    def test_each_value_is_the_leading_minor(self, ints, max_shift):
+        cells = list(_minor_table(ToeplitzSeq(ints), 10, max_shift))
+        assert [(order, shift) for order, shift, _, _ in cells] == list(
+            table_cells(10, max_shift)
+        )
+        for order, shift, det, _ in cells:
+            assert det == leading_det(ints, shift, order), (order, shift)
+        afresh = [(order, shift) for order, shift, _, fresh in cells if fresh]
+        assert afresh == fresh_cells(ints, table_cells(10, max_shift))
 
-    def test_chain_stops_right_after_the_first_zero(self):
-        # shift 1 of 1 0 2 0 1: the 1 x 1 minor a_1 is zero
-        chain = _leading_minors((1, 0, 2, 0, 1), 1)
-        assert list(chain) == [0]
+    def test_the_table_goes_on_past_a_zero(self):
+        # shift 1 of 1 0 2 0 1: the 1 x 1 minor a_1 is zero, and every
+        # later order at that shift still gets its minor
+        cells = {
+            (order, shift): det for order, shift, det, _ in
+            _minor_table(ToeplitzSeq((1, 0, 2, 0, 1)), 6, 2)
+        }
+        assert cells[1, 1] == 0
+        for order in range(2, 7):
+            assert cells[order, 1] == leading_det((1, 0, 2, 0, 1), 1, order)
         # shift 2 of 1 1 0 1: [[0, 1], [1, 0]] is not zero but its 1 x 1
-        # block is, so the chain ends at order 1 all the same
-        assert list(_leading_minors((1, 1, 0, 1), 2)) == [0]
+        # block is; the identity divides by D_0 = 1, not by that zero
+        cells = list(_minor_table(ToeplitzSeq((1, 1, 0, 1)), 2, 2))
+        assert (2, 2, -1, False) in cells
         assert leading_det((1, 1, 0, 1), 2, 2) == -1
 
     def test_deep_chain_of_the_degree8_cofactor(self):
-        values = list(islice(_leading_minors(R_COEFFS, R_WITNESS_SHIFT), R_WITNESS_ORDER))
+        values = [
+            det for order, shift, det, _ in
+            _minor_table(ToeplitzSeq(R_COEFFS), R_WITNESS_ORDER, R_WITNESS_SHIFT)
+            if shift == R_WITNESS_SHIFT
+        ]
         assert values[-1] == R_WITNESS_DET
         assert values[:-1] == [
             leading_det(R_COEFFS, R_WITNESS_SHIFT, order)
@@ -301,6 +329,15 @@ def visited_windows(max_order, max_shift, witness):
             yield order, shift
             if witness is not None and witness.spec == contiguous_minor_spec(order, shift):
                 return
+
+
+def visited_cells(max_order, max_shift, witness):
+    """(order, shift) of every minor-table cell the search builds, in its
+    order: the witness is its last."""
+    for order, shift in table_cells(max_order, max_shift):
+        yield order, shift
+        if witness is not None and witness.spec == contiguous_minor_spec(order, shift):
+            return
 
 
 class TestSearchAgainstOracle:
@@ -345,6 +382,8 @@ class TestSearchAgainstOracle:
         ((1, 0, 0, 1), 32),
     ])
     def test_fallback_runs_only_after_a_zero_pivot(self, monkeypatch, entries, max_order):
+        # a fresh elimination runs exactly for the table cells whose
+        # divisor is zero, past the swept shifts too, up to the witness
         seq = ToeplitzSeq(entries)
         calls = []
         fresh = pf_tnn.toeplitz_minor
@@ -357,13 +396,10 @@ class TestSearchAgainstOracle:
         verdict = pf_test(seq, max_order=max_order)
         monkeypatch.undo()
         visited = list(visited_windows(max_order, 8, verdict.witness))
-        after_zero = [
-            (order, shift) for order, shift in visited
-            if any(leading_det(seq.ints, shift, k) == 0 for k in range(1, order))
-        ]
-        assert calls == after_zero
+        expected = fresh_cells(seq.ints, visited_cells(max_order, 8, verdict.witness))
+        assert calls == expected
         assert verdict.timings["minors"] == len(visited)
-        assert verdict.timings["minors_by_pivoting"] == len(after_zero)
+        assert verdict.timings["minors_by_pivoting"] == len(expected)
         self.assert_matches_oracle(seq, max_order)
 
     def test_no_fallback_without_a_zero_pivot(self, monkeypatch):

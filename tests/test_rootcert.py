@@ -6,13 +6,21 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from darcais import rootcert
-from darcais.exactnum import ExactPoly, poly_divmod, poly_gcd, primitive_int_coeffs
+from darcais.exactnum import (
+    ExactPoly,
+    poly_divmod,
+    poly_gcd,
+    primitive_int_coeffs,
+    shift_by_one,
+)
 from darcais.polynomials import darcais_record, scaled_coeffs
 from darcais.rootcert import (
     RootAtEndpointError,
@@ -582,33 +590,54 @@ def _edge_polynomials(draw):
     return p
 
 
+def _descartes(q):
+    """Sign variations of (t + 1)^d q(1 / (t + 1)), by a Taylor shift."""
+    signs = [c > 0 for c in shift_by_one(reversed(q)) if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _leaves_testing_every_half(g):
     """The Descartes leaves of g on (0, 1), as a bisection that tests both
-    halves of every node finds them, in the order it finds them.  Checks
+    halves of every node finds them, in the order it finds them: each node
+    a polynomial in the power basis, halved by Taylor shifts.  Checks
     V(left) + V(right) + [midpoint root] <= V at every split."""
     found, todo = [], [(0, 0, g)]
     while todo:
         c, k, q = todo.pop()
-        v = rootcert._descartes(q)
+        v = _descartes(q)
         if v == 0:
             continue
         if v == 1:
             found.append((c, k, q))
             continue
         d = len(q) - 1
-        left = [a << (d - i) for i, a in enumerate(q)]
-        twos = min((a & -a).bit_length() for a in left if a) - 1
-        left = [a >> twos for a in left]
+        left = [a << (d - i) for i, a in enumerate(q)]  # 2^d q(t / 2)
         c, k = 2 * c, k + 1
         mid = sum(left) == 0
         if mid:
             found.append((c + 1, k, None))
-            left = rootcert._deflate_at_one(left)
-        right = rootcert.shift_by_one(left)
-        assert rootcert._descartes(left) + rootcert._descartes(right) + mid <= v
+            left = list(accumulate(left[:0:-1]))[::-1]  # left / (t - 1)
+        right = shift_by_one(left)
+        assert _descartes(left) + _descartes(right) + mid <= v
         todo.append((c + 1, k, right))
         todo.append((c, k, left))
     return found
+
+
+def _power_basis(b):
+    """The coefficients, constant term first, of sum_i b_i C(d, i) t^i
+    (1 - t)^(d - i)."""
+    d = len(b) - 1
+    return [
+        sum(b[i] * comb(d, i) * comb(d - i, m - i) * (-1) ** (m - i) for i in range(m + 1))
+        for m in range(d + 1)
+    ]
+
+
+def _normalized(q):
+    """q divided by its content, with a positive leading coefficient."""
+    content = gcd(*q)
+    return [c // content if q[-1] > 0 else -c // content for c in q]
 
 
 class TestBisectionSkipsDecidedHalves:
@@ -636,26 +665,32 @@ class TestBisectionSkipsDecidedHalves:
             return
         for side in (-1, 1):
             g = rootcert._unit_poly(f, side)
-            v = rootcert._descartes(g)
+            b = rootcert._bernstein(g)
             leaves = _leaves_testing_every_half(g)
-            assert rootcert._unit_roots(g, v) == leaves
+            found = rootcert._unit_roots(g, b)
+            assert [(c, k, q is None) for c, k, q in found] == [
+                (c, k, q is None) for c, k, q in leaves
+            ]
+            for (_, _, q), (_, _, expected) in zip(found, leaves):
+                if q is not None:
+                    assert _normalized(_power_basis(q)) == _normalized(expected)
             # None exactly when fewer than `least` roots are in (0, 1)
             for least in range(len(leaves) - 1, len(leaves) + 3):
-                found = rootcert._unit_roots(g, v, least=least)
+                found = rootcert._unit_roots(g, b, least=least)
                 assert (found is None) == (len(leaves) < least)
 
     def test_real_rootedness_stops_before_the_full_count(self, monkeypatch):
-        shifts = []
-        shift = rootcert.shift_by_one
+        splits = []
+        split = rootcert._split
 
         def counted(q):
-            shifts.append(1)
-            return shift(q)
+            splits.append(1)
+            return split(q)
 
-        monkeypatch.setattr(rootcert, "shift_by_one", counted)
+        monkeypatch.setattr(rootcert, "_split", counted)
         p = numerator(60)
         assert not is_real_rooted(p)
-        early = len(shifts)
+        early = len(splits)
         rootcert._side_leaves.cache_clear()
         assert count_real_roots(p) == 35
-        assert 0 < early < len(shifts) - early
+        assert 0 < early < len(splits) - early

@@ -209,8 +209,8 @@ def test_minor_search_never_reaches_rootcert():
     # only while the minor search reaches nothing in rootcert
     reach, _, _ = _package_reach()
     reached = reach("pf_tnn._minor_search")
-    # the walk sees the bordered eliminations and the fresh fallback
-    assert {"pf_tnn._leading_minors", "pf_tnn.toeplitz_minor",
+    # the walk sees the minor table and its fresh fallback
+    assert {"pf_tnn._minor_table", "pf_tnn.toeplitz_minor",
             "pf_tnn._det_bareiss"} <= reached
     assert sorted(key for key in reached if key.startswith("rootcert.")) == []
     assert "rootcert.is_real_rooted" in reach("pf_tnn.pf_test")
