@@ -12,11 +12,12 @@ Reports are JSON lines (CSV for shape) with sorted keys: identical
 inputs give byte-identical output except for the timings field.
 
 Exit codes: 0 = certified / all checks passed, 1 = a mathematical check
-failed, 2 = bad usage or unreadable input.
+failed, 2 = bad usage, unreadable input or a failed write to stdout.
 """
 
 from __future__ import annotations
 
+import atexit
 import errno
 import math
 import os
@@ -38,6 +39,7 @@ if TYPE_CHECKING:  # annotations only
     import argparse
     from collections.abc import Sequence
     from fractions import Fraction
+    from typing import NoReturn
 
     Args = argparse.Namespace | SimpleNamespace  # argparse's, or _read_args'
 
@@ -59,6 +61,10 @@ CONJECTURE_ROUTES = {
 
 class UsageError(Exception):
     """Bad arguments or unreadable input; maps to exit code 2."""
+
+
+class OutputError(OSError):
+    """A write to stdout failed; maps to exit code 2."""
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -145,8 +151,18 @@ def _strip_zeros(values: list) -> list:
     return values
 
 
+def _write(text: str, flush: bool = False) -> None:
+    """Write text to stdout, as print does (nothing when the process has
+    no stdout), and flush it if asked; a write that fails raises
+    OutputError, so that it is not taken for an input error."""
+    try:
+        print(text, end="", flush=flush)
+    except OSError as exc:
+        raise OutputError(*exc.args) from exc
+
+
 def _print_report(report: CertReport) -> None:
-    sys.stdout.write(report.to_json() + "\n")
+    _write(report.to_json() + "\n")
 
 
 # -- poly --------------------------------------------------------------------
@@ -164,14 +180,14 @@ def cmd_poly(args: Args) -> int:
             polynomials.q_scaled_coeffs(n) if args.shifted
             else polynomials.darcais_record(n).numer_coeffs
         )
-        print(" ".join(str(c) for c in coeffs))
+        _write(" ".join(str(c) for c in coeffs) + "\n")
     else:
         coeffs = (
             polynomials.q_scaled_coeffs(n) if args.shifted
             else polynomials.scaled_coeffs(n)
         )
         fact = math.factorial(n)
-        print(" ".join(_over(c, fact) for c in coeffs))
+        _write(" ".join(_over(c, fact) for c in coeffs) + "\n")
     if args._cache_path and n > loaded:
         from .cache import write_cache
 
@@ -467,21 +483,21 @@ def cmd_shape(args: Args) -> int:
     _maybe_load_cache(args)
     override = _parse_doctor(args.doctor, args.max_n) if args.doctor else None
     if args.format == "csv":
-        print("n,unimodal,log_concave,ultra_log_concave,peak_index")
+        _write("n,unimodal,log_concave,ultra_log_concave,peak_index\n")
     # one n at a time, each row flushed as it is done, so a long run shows
     # its progress and a stopped run keeps every finished row
     for n in range(1, args.max_n + 1):
         (rep,) = shape.shape_report((n,), override=override)
         if args.format == "csv":
             d = rep.details
-            print(
+            line = (
                 f"{n},{int(bool(d['unimodal']))},"
                 f"{int(bool(d['log_concave']))},{int(bool(d['ultra_log_concave']))},"
-                f"{d['peak_index'] if d['peak_index'] is not None else ''}"
+                f"{d['peak_index'] if d['peak_index'] is not None else ''}\n"
             )
         else:
-            _print_report(rep)
-        sys.stdout.flush()
+            line = rep.to_json() + "\n"
+        _write(line, flush=True)
         if not rep.passed:
             sys.stderr.write(
                 f"shape failure at n={n}: witness index "
@@ -672,6 +688,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except OutputError as exc:
+        sys.stderr.write(f"output error: {exc}\n")
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         from .cache import CacheError  # loaded already if it raised one
 
@@ -683,9 +702,39 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_MATH_FAIL
 
 
-def entry() -> None:
-    raise SystemExit(main())
+def entry() -> NoReturn:
+    """Run main as a process (the `darcais` console script and `python -m
+    darcais.cli`) and end the process with its exit code.
+
+    After main returns, the atexit handlers run and stdout and stderr are
+    flushed; then os._exit ends the process at once.  That skips the
+    interpreter's teardown (a last garbage collection, clearing every
+    module, freeing the tables), which costs a job several milliseconds
+    and frees only memory that the operating system takes back anyway.
+    An exception that escapes main is not caught here: the interpreter
+    prints its traceback, tears down as usual and exits 1.
+
+    A flush that fails is an output error, exit 2.  When main has already
+    returned 2, its message is on stderr, and the same broken stdout fails
+    again here: then nothing more is printed.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    message = ""
+    try:
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != EXIT_USAGE:
+            message, code = f"output error: {exc}\n", EXIT_USAGE
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(message)
+            sys.stderr.flush()
+    except OSError:
+        code = code or EXIT_USAGE
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -313,7 +313,7 @@ def _packed_sums(
     """For each n in [lo, hi], from lo: the integer coefficients, constant
     term first, of n!^exp * sum over partitions of n of value / w, where
     one walk (partitions.grow_rows) carries each partition's state
-    (value, w, ...) from seed through the steps make_grow(z) returns.
+    (value, w, ...) from seed through the steps make_grow(slot) returns.
 
     value is the partition's product of factors z + c, evaluated at
     z = 2^slot with one slot for every size (see _packed_slot); w, the
@@ -334,14 +334,17 @@ def _packed_sums(
     # that poly and shape jobs, which walk none, do not load it
     from .partitions import grow_rows
 
-    totals = grow_rows(lo, hi, seed, make_grow(1 << slot), finish)
+    totals = grow_rows(lo, hi, seed, make_grow(slot), finish)
     return [tuple(_read_slots(t, slot, n + 1)) for n, t in enumerate(totals, start=lo)]
 
 
-def _hook_grow(selector: HookSelector, z: int) -> Callable:
+def _hook_grow(selector: HookSelector, slot: int) -> Callable:
     """The walk's step for a hook route: the carried (value, hook_prod)
     times z + h^e and h^e for each cell the selector keeps in the new row,
     h its hook, e = 2 for the full multiset and 1 for the trivial ones.
+    With z = 2^slot, value * (z + c) is (value << slot) + value * c: a
+    shift and a product by a small c, where z + c would be a multiplier as
+    long as z.
 
     A cell is kept by testing the arm and leg computed for it, as in
     Partition.hooks, never by the closed forms of the trivial selectors,
@@ -354,7 +357,7 @@ def _hook_grow(selector: HookSelector, z: int) -> Callable:
         value, hook_prod = carried
         for arm, leg in zip(range(p - 1, -1, -1), legs):
             he = (arm + leg + 1) ** 2
-            value *= z + he
+            value = (value << slot) + value * he
             hook_prod *= he
         return value, hook_prod
 
@@ -363,7 +366,7 @@ def _hook_grow(selector: HookSelector, z: int) -> Callable:
         for arm, leg in zip(range(p - 1, -1, -1), legs):
             if not leg:
                 h = arm + leg + 1
-                value *= z + h
+                value = (value << slot) + value * h
                 hook_prod *= h
         return value, hook_prod
 
@@ -372,7 +375,7 @@ def _hook_grow(selector: HookSelector, z: int) -> Callable:
         for arm, leg in zip(range(p - 1, -1, -1), legs):
             if not arm:
                 h = arm + leg + 1
-                value *= z + h
+                value = (value << slot) + value * h
                 hook_prod *= h
         return value, hook_prod
 
@@ -400,19 +403,20 @@ def _hook_sum(lo: int, hi: int, selector: HookSelector | str) -> list[tuple[int,
 
     selector = HookSelector(selector)
     exp = 2 if selector is HookSelector.FULL else 1
-    return _packed_sums(lo, hi, exp, (1, 1), lambda z: _hook_grow(selector, z))
+    return _packed_sums(lo, hi, exp, (1, 1), lambda slot: _hook_grow(selector, slot))
 
 
-def _binomial_grow(z: int) -> Callable:
+def _binomial_grow(slot: int) -> Callable:
     """The walk's step for the binomial route, which carries the
-    multiplicity of the top part with the product."""
+    multiplicity of the top part with the product.  The factor z + m,
+    z = 2^slot, is a shift and a small product, as in _hook_grow."""
 
     def grow(carried: tuple[int, int, int], p: int, below: int, legs: list[int]):
         # a part equal to the one below raises its multiplicity m to m + 1,
         # which takes the rising factorial (z+1)...(z+m) one factor further
         value, fact_prod, mult = carried
         mult = mult + 1 if p == below else 1
-        return value * (z + mult), fact_prod * mult, mult
+        return (value << slot) + value * mult, fact_prod * mult, mult
 
     return grow
 

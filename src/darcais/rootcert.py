@@ -399,6 +399,14 @@ class _Root:
         x = Fraction(a << e) if e >= 0 else Fraction(a, 1 << -e)
         return x if self.side > 0 else -x
 
+    def point(self, a: int) -> tuple[int, int]:
+        """x at t = a / 2^j as (m, e), x = m 2^e with m odd, or (0, 0) for
+        x = 0: one pair for each dyadic number, whatever its depth."""
+        if not a:
+            return 0, 0
+        z = (a & -a).bit_length() - 1
+        return self.side * (a >> z), self.bound - self.j + z
+
     def bounds(self) -> tuple[Fraction, Fraction]:
         """The interval in x, lower end first; a point for an exact root."""
         lo = self._x(self.a)
@@ -601,27 +609,36 @@ def isolate_real_roots(p: Sequence[Scalar], max_width: Scalar = 1) -> list[RootI
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
-    roots = sorted(
-        _real_roots(f),
-        key=lambda root: (root.bounds()[0], not root.exact),
-    )
-    exact = {root.bounds()[0] for root in roots if root.exact}
+    # a leaf, 2^(bound - j) wide, is narrow enough when bound - j <= top,
+    # for 2^top <= max_width < 2^(top + 1)
+    top = max_width.numerator.bit_length() - max_width.denominator.bit_length()
+    if Fraction(2) ** top > max_width:
+        top -= 1
+    roots = _real_roots(f)
+    # sorted by lower end, an exact root before a leaf that starts at it;
+    # every end is a multiple of 2^(bound - depth) (0 for the root at 0)
+    depth = max((root.j for root in roots), default=0)
+    roots.sort(key=lambda root: (
+        root.side * (root.a + (root.side < 0 and not root.exact)) << (depth - root.j),
+        not root.exact,
+    ))
+    exact = {root.point(root.a) for root in roots if root.exact}
     for root in roots:
-        lo, hi = root.bounds()
         while not root.exact and (
-            hi - lo > max_width or lo in exact or hi in exact
+            root.bound - root.j > top
+            or root.point(root.a) in exact
+            or root.point(root.a + 1) in exact
         ):
             root.halve()
-            lo, hi = root.bounds()
+    ends = [root.bounds() for root in roots]
     intervals = []
-    for i, root in enumerate(roots):
-        lo, hi = root.bounds()
-        if root.exact:
+    for i, (lo, hi) in enumerate(ends):
+        if roots[i].exact:
             half = max_width / 2
             if i > 0:
-                half = min(half, (lo - roots[i - 1].bounds()[1]) / 2)
+                half = min(half, (lo - ends[i - 1][1]) / 2)
             if i + 1 < len(roots):
-                half = min(half, (roots[i + 1].bounds()[0] - hi) / 2)
+                half = min(half, (ends[i + 1][0] - hi) / 2)
             lo, hi = lo - half, hi + half
         intervals.append(RootInterval(lo, hi, 1))
     return intervals

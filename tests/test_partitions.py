@@ -212,10 +212,19 @@ def test_hooks_match_cell_reference(selector):
 
 
 class Factors(tuple):
-    """A product kept as the list of its factors."""
+    """A product kept as the list of its factors.  A route's step takes
+    value * (z + c), z = 2^slot, as (value << slot) + value * c; the
+    shifted term reads 0 here, which is the product at z = 0."""
 
     def __mul__(self, factor):
         return Factors((*self, factor))
+
+    def __lshift__(self, slot):
+        return 0
+
+    def __radd__(self, zero):
+        assert zero == 0
+        return self
 
 
 def walked(lo, hi, selector=HookSelector.FULL):
@@ -223,7 +232,7 @@ def walked(lo, hi, selector=HookSelector.FULL):
     order it finishes them: the rows are carried bottom-up with the hook
     factors h^e that the route's own step (polynomials._hook_grow) keeps
     for them, read at z = 0 from a product that records its factors."""
-    step = _hook_grow(selector, 0)
+    step = _hook_grow(selector, slot=0)
     reached = []
 
     def grow(carried, p, below, legs):

@@ -291,15 +291,14 @@ def test_the_cli_imports_no_dataclasses():
     assert result.stdout.split() == []
 
 
-# run as `python -m darcais.cli ARGS` does, then name the modules loaded
+# run as `python -m darcais.cli ARGS` does, and name the modules loaded
+# from an atexit hook: the job ends its process itself, after running the
+# atexit handlers and flushing stdout
 _RUN_AS_MAIN = """
-import runpy, sys
+import atexit, runpy, sys
+atexit.register(lambda: print("loaded:", *[m for m in {modules!r} if m in sys.modules]))
 sys.argv = ["darcais", *sys.argv[1:]]
-try:
-    runpy.run_module("darcais.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-print("loaded:", *[m for m in {modules!r} if m in sys.modules])
+runpy.run_module("darcais.cli", run_name="__main__", alter_sys=True)
 """
 
 
@@ -310,16 +309,18 @@ print("loaded:", *[m for m in {modules!r} if m in sys.modules])
 _START_UP = ("argparse", "gettext", "locale", "shutil", "json", "typing", "pathlib")
 
 
-def _modules_loaded(argv, modules, script=None):
-    """The job's output lines and the given modules that it loads.  The
-    job runs under -S, so that what a site configuration imports at
-    start-up does not count."""
-    script = _RUN_AS_MAIN if script is None else script
+def _modules_loaded(argv, modules, code=0, site=False):
+    """The job's output lines and the given modules that it loads, for a
+    job that exits with the given code.  The job runs under -S unless site
+    is set, so that what a site configuration imports at start-up does not
+    count."""
+    flags = [] if site else ["-S"]
     result = subprocess.run(
-        [sys.executable, "-S", "-c", script.format(modules=modules), *argv],
+        [sys.executable, *flags, "-c", _RUN_AS_MAIN.format(modules=modules), *argv],
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
-        capture_output=True, text=True, timeout=60, check=True,
+        capture_output=True, text=True, timeout=60,
     )
+    assert result.returncode == code, (argv, result.returncode, result.stderr)
     *out, loaded = result.stdout.splitlines()
     assert loaded.split()[0] == "loaded:", argv
     return out, loaded.split()[1:]
@@ -365,10 +366,7 @@ def test_root_and_pf_jobs_load_no_argument_parser_json_or_paths():
     # roots and pf read rational input, so they load fractions (and with it
     # re), but nothing else of what start-up used to cost
     for argv, code in ((["roots", "--n", "10", "--hurwitz"], 0), (["pf", "--n", "10"], 1)):
-        out, loaded = _modules_loaded(
-            argv, (*_START_UP, "darcais.cache"), script=_RUN_AS_MAIN_ANY_EXIT
-        )
-        assert out[-1] == f"exit: {code}", argv
+        _, loaded = _modules_loaded(argv, (*_START_UP, "darcais.cache"), code=code)
         assert loaded == [], argv
 
 
@@ -382,19 +380,6 @@ def test_polynomials_never_reach_exactnum():
         assert sorted(k for k in reach(key) if k.startswith("exactnum.")) == [], key
 
 
-# run as `python -m darcais.cli ARGS` does, then print the exit code and
-# name the modules loaded
-_RUN_AS_MAIN_ANY_EXIT = """
-import runpy, sys
-sys.argv = ["darcais", *sys.argv[1:]]
-try:
-    runpy.run_module("darcais.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    print("exit:", exc.code)
-print("loaded:", *[m for m in {modules!r} if m in sys.modules])
-"""
-
-
 def test_witness_and_rational_poly_jobs_load_no_rational_polynomials():
     # a verify witness is a Fraction over integer rows: fractions is
     # loaded, the rational polynomials and the root and PF certificates are
@@ -406,14 +391,7 @@ def test_witness_and_rational_poly_jobs_load_no_rational_polynomials():
         (["poly", "--n", "5"], 0),
         (["poly", "--n", "5", "--shifted"], 0),
     ):
-        result = subprocess.run(
-            [sys.executable, "-c", _RUN_AS_MAIN_ANY_EXIT.format(modules=unused), *argv],
-            env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
-            capture_output=True, text=True, timeout=60, check=True,
-        )
-        *_, exit_line, loaded = result.stdout.splitlines()
-        assert exit_line == f"exit: {code}", argv
-        assert loaded.split() == ["loaded:"], argv
+        assert _modules_loaded(argv, unused, code=code, site=True)[1] == [], argv
 
 
 def test_lazy_exports_resolve_and_star_import_binds_them():
