@@ -12,8 +12,9 @@ import darcais
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "darcais"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
-# Where the program starts: `python -m darcais.cli` runs main, the
-# `darcais` console script (pyproject.toml) runs entry, which calls main.
+# Where the program starts: `python -m darcais.cli` and the `darcais`
+# console script (pyproject.toml) run entry, which calls main; library
+# callers and the tests call main.
 ROOTS = ("cli.main", "cli.entry")
 
 # Definitions kept although the CLI does not reach them, one reason each.
