@@ -16,8 +16,10 @@ throughout, no floating point on any certification path.
 Each exported name is imported from its module on first use (PEP 562),
 so a process imports only the modules it runs: a `shape`, `poly` or
 `verify` job loads neither the rational arithmetic nor the root and PF
-certificates, nor `fractions` with them, and a `shape` or `poly` job,
-which walks no partitions, does not load `partitions` or `enum` either.
+certificates, a `shape` or `poly` job, which walks no partitions, does
+not load `partitions` or `enum` either, and only a `shape` job loads the
+shape predicates.  `fractions` is loaded only for a number that is not
+an integer: `roots` and `pf` jobs on integer input never load it.
 """
 
 from importlib import import_module
@@ -39,15 +41,15 @@ _EXPORTS = {
             "DArcaisRecord", "DEFAULT_ROUTE_BOUNDS", "darcais_record", "q_scaled_coeffs",
             "scaled_coeffs", "seed_records", "verify_identity",
         ),
-        "reports": ("ARTIFACT_VERSION", "CertReport"),
+        "reports": ("ARTIFACT_VERSION", "CertReport", "InternalConsistencyError"),
         "rootcert": (
             "RootAtEndpointError", "RootInterval", "RouthVerdict",
             "all_real_roots_negative", "count_real_roots", "hurwitz_stable",
             "is_real_rooted", "is_square_free", "isolate_real_roots",
         ),
         "shape": (
-            "InternalConsistencyError", "ShapeVerdict", "is_log_concave",
-            "is_ultra_log_concave", "is_unimodal", "shape_report", "shape_summary",
+            "ShapeVerdict", "is_log_concave", "is_ultra_log_concave", "is_unimodal",
+            "shape_report", "shape_summary",
         ),
     }.items()
     for name in names

@@ -25,15 +25,16 @@ import sys
 import time
 from types import SimpleNamespace
 
-from . import polynomials, shape
+from . import polynomials
 from .plain import Plain
-from .reports import ARTIFACT_VERSION, CertReport
+from .reports import ARTIFACT_VERSION, CertReport, InternalConsistencyError
 
 # argparse is imported only for a command the reader below declines
-# (help, the version, a usage error); fractions, the integer kernel
-# (exactnum), the root and PF certificates and the cache module are
-# imported by the subcommands that use them.  So a well-formed shape,
-# poly or verify job loads none of them.
+# (help, the version, a usage error); the integer kernel (exactnum), the
+# root and PF certificates, the shape predicates and the cache module are
+# imported by the subcommands that use them.  So a well-formed shape, poly
+# or verify job loads none of the certificates, and a roots or pf job on
+# integer input loads no fractions: _number reads an integer without it.
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only
     import argparse
@@ -129,15 +130,32 @@ def _read_argument(value: str, what: str) -> tuple[str, str]:
         raise UsageError(f"cannot read {what} file {value}: {exc}")
 
 
-def _rationals(tokens: Sequence[str], invalid: str) -> list[Fraction]:
-    """The tokens as Fractions; the first bad one is refused as
-    "{invalid} {position}: {token!r}", counting from 1."""
+def _number(token: str) -> int | Fraction:
+    """The value Fraction(token) gives, or the error it raises; an int
+    when the value is an integer and the token has the plain form: an
+    optional sign, ASCII digits, and optionally a slash and ASCII digits.
+    Such a token is read without loading fractions.  Every other token,
+    and a zero denominator, goes to Fraction, which words the refusal.
+    """
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        # int() raises as Fraction does, for a part past its digit limit
+        top, bottom = int(num), int(den or 1)
+        if bottom and not top % bottom:
+            return top // bottom
     from fractions import Fraction
 
+    return Fraction(token)
+
+
+def _rationals(tokens: Sequence[str], invalid: str) -> list[int | Fraction]:
+    """The tokens as numbers (_number); the first bad one is refused as
+    "{invalid} {position}: {token!r}", counting from 1."""
     out = []
     for pos, tok in enumerate(tokens, start=1):
         try:
-            out.append(Fraction(tok))
+            out.append(_number(tok))
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"{invalid} {pos}: {tok!r}")
     return out
@@ -256,15 +274,13 @@ def cmd_verify(args: Args) -> int:
 
 
 def cmd_roots(args: Args) -> int:
-    from fractions import Fraction
-
     from . import rootcert
     from .exactnum import primitive_int_coeffs
 
     # the width is read first, with or without --isolate, so that a bad
     # one is refused before any certificate runs
     try:
-        width = Fraction(args.max_width)
+        width = _number(args.max_width)
     except ZeroDivisionError:
         raise UsageError(f"--max-width {args.max_width} has a zero denominator")
     if width <= 0:
@@ -421,7 +437,7 @@ def cmd_pf(args: Args) -> int:
     if verdict.witness is not None:
         witnesses.append(verdict.witness.to_dict())
         if verdict.witness.determinant >= 0 or verdict.is_pf:
-            raise shape.InternalConsistencyError(
+            raise InternalConsistencyError(
                 "minor witness contradicts the real-rootedness verdict"
             )
     report = CertReport(
@@ -467,6 +483,8 @@ def _parse_doctor(value: str, max_n: int):
 
 
 def cmd_shape(args: Args) -> int:
+    from . import shape
+
     if args.max_n < 0:
         raise UsageError("--max-n must be nonnegative")
     limit = SHAPE_FULL_LIMIT if args.full_1000 else SHAPE_DESK_LIMIT
@@ -697,7 +715,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         kind = "cache error" if isinstance(exc, CacheError) else "input error"
         sys.stderr.write(f"{kind}: {exc}\n")
         return EXIT_USAGE
-    except shape.InternalConsistencyError as exc:
+    except InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
         return EXIT_MATH_FAIL
 

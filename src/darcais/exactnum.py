@@ -8,7 +8,10 @@ gcd.  It is what the rest of the package computes with.
 ``ExactPoly``, a dense polynomial with ``fractions.Fraction``
 coefficients, and ``poly_divmod`` are on no command's path: the tests
 build their oracles with them, and perfbench's tracer wraps
-``poly_divmod`` and ``ExactPoly.__call__`` by name.  Nothing here has a
+``poly_divmod`` and ``ExactPoly.__call__`` by name.  They import
+fractions when they run, so the kernel alone loads none of it; it takes
+ints and Fractions alike, through their numerator and denominator
+attributes.  Nothing here has a
 floating-point escape hatch; an operation that could lose exactness
 raises instead.
 """
@@ -16,12 +19,12 @@ raises instead.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only
+if TYPE_CHECKING:  # annotations only: the kernel never loads fractions
     from collections.abc import Iterable, Iterator, Sequence
+    from fractions import Fraction
 
     Scalar = int | Fraction
 
@@ -134,6 +137,8 @@ class ExactPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
+        from fractions import Fraction
+
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -193,6 +198,8 @@ class ExactPoly:
             if self.is_zero or other.is_zero:
                 return ExactPoly()
             return ExactPoly(convolve(self._coeffs, other._coeffs))
+        from fractions import Fraction
+
         if isinstance(other, (int, Fraction)):
             return ExactPoly(c * other for c in self._coeffs)
         return NotImplemented
@@ -201,6 +208,8 @@ class ExactPoly:
 
     def __call__(self, x: Scalar) -> Fraction:
         """Evaluate by Horner's rule; exact for int or Fraction arguments."""
+        from fractions import Fraction
+
         x = x if isinstance(x, Fraction) else Fraction(x)
         acc = Fraction(0)
         for c in reversed(self._coeffs):
@@ -224,6 +233,8 @@ class ExactPoly:
 
 def poly_divmod(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
     """Exact quotient and remainder with deg(remainder) < deg(b)."""
+    from fractions import Fraction
+
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by the zero polynomial")
     if a.is_zero or len(a.coeffs) < len(b.coeffs):

@@ -18,16 +18,21 @@ identity on the window of order k + 1 relates it to three windows of
 order k and one of order k - 1 (the Pade-table identity; Gragg, SIAM Review 14, 1972),
 so the windows form a table that is built one order at a time with one
 exact division per cell, order first, then shift, and the witness is the
-first negative window in that order.  Only a cell whose divisor is zero
-is evaluated afresh, by Bareiss elimination with row exchanges in
-toeplitz_minor, in O(k^3).
+first negative window in that order.  A window with a zero row is zero,
+which the lengths of the zero runs in the sequence show at once.  Only
+another cell whose divisor is zero is evaluated afresh, by Bareiss
+elimination with row exchanges in toeplitz_minor, in O(k^3).
+
+A sequence of ints is kept and searched in ints.  fractions is loaded
+only for a rational sequence and by toeplitz_minor, whose result is a
+Fraction: a fresh cell of the table is one.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from fractions import Fraction
+from itertools import groupby
 
 from . import rootcert
 from .plain import Frozen
@@ -35,6 +40,7 @@ from .plain import Frozen
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only
     from collections.abc import Iterator, Sequence
+    from fractions import Fraction
 
 
 class ToeplitzSeq(Frozen):
@@ -43,30 +49,35 @@ class ToeplitzSeq(Frozen):
     Entry (i, j) is entries[i - j], with zero outside the stored range
     (in particular the whole matrix above the main diagonal shifted by
     the sequence is zero, so only windows at or below the diagonal are
-    interesting).  The entries are stored as a tuple of Fractions, and
-    once more as `ints`, the entries times `scale`, the lcm of their
-    denominators: minors and the root count run on those.
+    interesting).  The entries are stored as a tuple: of ints when every
+    entry is an int, else of Fractions.  They are stored once more as
+    `ints`, the entries times `scale`, the lcm of their denominators
+    (1 for ints): minors and the root count run on those.
     """
 
     __slots__ = ("entries", "scale", "ints")
     derived = ("scale", "ints")
 
     def __init__(self, entries: Sequence[Fraction | int]):
-        converted = tuple(
-            e if isinstance(e, Fraction) else Fraction(e) for e in entries
-        )
-        if not converted:
+        entries = tuple(entries)
+        scale, ints = 1, entries
+        if not all(type(e) is int for e in entries):
+            from fractions import Fraction
+
+            entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
+            scale = math.lcm(*(e.denominator for e in entries))
+            ints = tuple(int(e * scale) for e in entries)
+        if not entries:
             raise ValueError("a Toeplitz sequence needs at least one entry")
-        for k, e in enumerate(converted):
+        for k, e in enumerate(entries):
             if e < 0:
                 raise ValueError(
                     f"entry {k} is negative ({e}); Polya frequency sequences "
                     "are nonnegative by definition"
                 )
-        scale = math.lcm(*(e.denominator for e in converted))
-        object.__setattr__(self, "entries", converted)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "ints", tuple(int(e * scale) for e in converted))
+        object.__setattr__(self, "ints", ints)
 
 
 class MinorSpec(Frozen):
@@ -104,11 +115,12 @@ def contiguous_minor_spec(order: int, row_start: int, col_start: int = 0) -> Min
 
 
 class MinorWitness(Frozen):
-    """A specific minor together with its exactly computed determinant."""
+    """A specific minor together with its exactly computed determinant: an
+    int for a sequence of integers, else a Fraction."""
 
     __slots__ = ("spec", "determinant")
 
-    def __init__(self, spec: MinorSpec, determinant: Fraction):
+    def __init__(self, spec: MinorSpec, determinant: int | Fraction):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "determinant", determinant)
 
@@ -184,6 +196,8 @@ def _det_bareiss(matrix: list[list[int]]) -> int:
 def toeplitz_minor(seq: ToeplitzSeq, spec: MinorSpec) -> Fraction:
     """Exact determinant of the selected minor, by Bareiss on the entries
     scaled by L = seq.scale: det = det(L M) / L**order."""
+    from fractions import Fraction
+
     ints = seq.ints
     size = len(ints)
     matrix = [
@@ -248,7 +262,11 @@ def _minor_search(
         minors += 1
         if det < 0:
             spec = contiguous_minor_spec(order, row_start=shift)
-            return MinorWitness(spec, Fraction(det, seq.scale**order)), minors, fresh
+            if seq.scale != 1:
+                from fractions import Fraction
+
+                det = Fraction(det, seq.scale**order)
+            return MinorWitness(spec, det), minors, fresh
     return None, minors, fresh
 
 
@@ -264,25 +282,40 @@ def _minor_table(
 
         D_{k+1}(s) D_{k-1}(s) = D_k(s)^2 - D_k(s + 1) D_k(s - 1),
 
-    with D_0 = 1, D_1(s) = a_s, D_k(-1) = 0 (the window's top row is
-    zero) and D_k(s) = 0 for s at or past the sequence's end (so is its
-    bottom row).  Order k + 1 needs order k at shift s + 1, so order k
-    runs to shift max_shift + max_order - k.  A cell whose divisor
-    D_{k-1}(s) is zero is evaluated afresh by toeplitz_minor, which
-    exchanges rows.
+    with D_0 = 1, D_1(s) = a_s and D_k(-1) = 0 (the window's top row is
+    zero).  Order k + 1 needs order k at shift s + 1, so order k runs to
+    shift max_shift + max_order - k.
+
+    D_k(s) is zero, with no division, when the window has a zero row.
+    Row i of the window holds a_{i-k+1}, ..., a_i, with a_j = 0 for j < 0
+    and past the end.  So row i is zero exactly when a_{i-k+1..i} are
+    zeros, for some i = s .. s + k - 1: k zeros in a row that include
+    a_s, that is a run of at least k zeros through a_s.  A run that
+    starts at a_0 goes on through the zeros before it and is long enough
+    for every order; one past the end of the sequence goes on too.  Any
+    other cell whose divisor D_{k-1}(s) is zero is evaluated afresh by
+    toeplitz_minor, which exchanges rows.
     """
     ints = seq.ints
-    size = len(ints)
+    span = max_shift + max_order  # shifts 0 .. span - 1 at order 1
+    padded = [ints[i] if i < len(ints) else 0 for i in range(span)]
+    # run[s]: the zeros in the run through a_s (0 when a_s != 0), counted
+    # up to a_(span - 1), the last entry a window here reaches
+    run: list[int] = []
+    for nonzero, group in groupby(padded, bool):
+        count = len(list(group))
+        length = 0 if nonzero else count + (max_order if not run else 0)
+        run += [length] * count
     below: list[int] = []  # D_{k-1}
-    row = [1] * (max_shift + max_order + 1)  # D_k, from D_0
+    row = [1] * (span + 1)  # D_k, from D_0
     for order in range(1, max_order + 1):
         cells: list[int] = []
-        for shift in range(max_shift + max_order - order + 1):
+        for shift in range(span - order + 1):
             afresh = False
-            if shift >= size:
+            if order == 1:
+                det = padded[shift]
+            elif run[shift] >= order:
                 det = 0
-            elif order == 1:
-                det = ints[shift]
             elif below[shift]:
                 before = row[shift - 1] if shift else 0
                 det = (row[shift] ** 2 - row[shift + 1] * before) // below[shift]

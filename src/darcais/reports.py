@@ -92,6 +92,12 @@ def _char(char: str) -> str:
     return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
 
 
+class InternalConsistencyError(AssertionError):
+    """Two computations of one fact disagree: the ULC => log-concave =>
+    unimodal chain of a shape verdict, or a PF minor witness and the
+    real-rootedness verdict.  Something is broken."""
+
+
 class CertReport(Plain):
     """Outcome of one certification task.
 

@@ -39,7 +39,6 @@ piece, in exact dyadic integers, only where an endpoint cuts it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, lcm
 from operator import add, or_
@@ -56,6 +55,7 @@ from .plain import Frozen
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only
     from collections.abc import Sequence
+    from fractions import Fraction
 
     from .exactnum import Scalar
 
@@ -395,6 +395,8 @@ class _Root:
         return self.q is None
 
     def _x(self, a: int) -> Fraction:
+        from fractions import Fraction
+
         e = self.bound - self.j
         x = Fraction(a << e) if e >= 0 else Fraction(a, 1 << -e)
         return x if self.side > 0 else -x
@@ -553,8 +555,7 @@ def count_real_roots(
     dyadic and are compared with the endpoints in integers.
     """
     f = _square_free(_primitive(p))
-    lower = None if lower is None else Fraction(lower)
-    upper = None if upper is None else Fraction(upper)
+    lower, upper = _exact(lower), _exact(upper)
     if lower is not None and upper is not None and lower >= upper:
         raise ValueError("interval must satisfy lower < upper")
     for endpoint in (lower, upper):
@@ -588,7 +589,17 @@ def count_real_roots(
     return count
 
 
-def _in_unit(x: Fraction, side: int, bound: int) -> tuple[int, int]:
+def _exact(x: Scalar | None) -> int | Fraction | None:
+    """x as an int or a Fraction (None stays None): an int as it is, so
+    that a count between integers loads no fractions."""
+    if x is None or type(x) is int:
+        return x
+    from fractions import Fraction
+
+    return Fraction(x)
+
+
+def _in_unit(x: int | Fraction, side: int, bound: int) -> tuple[int, int]:
     """x / (side 2^bound) as (num, den) with den > 0."""
     num, den = side * x.numerator, x.denominator
     return (num, den << bound) if bound >= 0 else (num << -bound, den)
@@ -605,6 +616,8 @@ def isolate_real_roots(p: Sequence[Scalar], max_width: Scalar = 1) -> list[RootI
     (r - h, r + h], the widest with 2h <= max_width that reaches at most
     halfway to the next interval on either side.
     """
+    from fractions import Fraction
+
     f = _square_free(_primitive(p))
     max_width = Fraction(max_width)
     if max_width <= 0:
@@ -644,8 +657,10 @@ def isolate_real_roots(p: Sequence[Scalar], max_width: Scalar = 1) -> list[RootI
     return intervals
 
 
-# Fixed 62-bit primes for the one-sided square-freeness certificate.
-_SQFREE_PRIMES = (2**61 - 1, 2305843009213693967, 2305843009213693973)
+# The three largest primes below 2^31 for the one-sided square-freeness
+# certificate: residues and their products stay machine words, and the
+# first alone decides every P_n numerator for n <= 150.
+_SQFREE_PRIMES = (2**31 - 1, 2147483629, 2147483587)
 
 
 def _gf_gcd_degree(f: Sequence[int], prime: int) -> int:
@@ -656,7 +671,7 @@ def _gf_gcd_degree(f: Sequence[int], prime: int) -> int:
         b.pop()
     while b:
         # reduce a mod b in place
-        inv = pow(b[-1], prime - 2, prime)
+        inv = pow(b[-1], -1, prime)
         while len(a) >= len(b):
             if a[-1] == 0:
                 a.pop()

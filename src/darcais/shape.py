@@ -36,10 +36,11 @@ exact products.
 from __future__ import annotations
 
 import time
+from operator import ge, le
 
 from . import polynomials
 from .plain import Frozen
-from .reports import CertReport
+from .reports import CertReport, InternalConsistencyError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: the integer sweep never loads fractions
@@ -50,10 +51,6 @@ if TYPE_CHECKING:  # annotations only: the integer sweep never loads fractions
 
 # entries are compared on this many leading bits before the exact products
 _FILTER_BITS = 64
-
-
-class InternalConsistencyError(AssertionError):
-    """The ULC => log-concave => unimodal chain failed; something is broken."""
 
 
 class ShapeVerdict(Frozen):
@@ -112,20 +109,22 @@ def is_unimodal(seq: Sequence[Number]) -> ShapeVerdict:
     sitting strictly below both a previous and a following entry.
     """
     values = _validate(seq)
+    # a unimodal sequence rises weakly to its first maximum and falls
+    # weakly after it; two C-level passes accept it
+    peak = values.index(max(values))
+    if all(map(le, values[:peak], values[1:peak + 1])) and all(
+        map(ge, values[peak:], values[peak + 1:])
+    ):
+        return ShapeVerdict(unimodal=True, peak_index=peak)
+    # not unimodal: past the first rise, some entry is below the next
     rise_end = 0
-    while rise_end + 1 < len(values) and values[rise_end] <= values[rise_end + 1]:
+    while values[rise_end] <= values[rise_end + 1]:
         rise_end += 1
-    for j in range(rise_end, len(values) - 1):
-        if values[j] < values[j + 1]:
-            # walk back to the dip: the low point before this new rise
-            dip = j
-            while dip > 0 and values[dip - 1] == values[dip]:
-                dip -= 1
-            return ShapeVerdict(unimodal=False, failure_witness=dip)
-    peak = rise_end
-    while peak > 0 and values[peak - 1] == values[peak]:
-        peak -= 1
-    return ShapeVerdict(unimodal=True, peak_index=peak)
+    dip = next(j for j in range(rise_end, len(values) - 1) if values[j] < values[j + 1])
+    # walk back to the dip: the low point before this new rise
+    while dip > 0 and values[dip - 1] == values[dip]:
+        dip -= 1
+    return ShapeVerdict(unimodal=False, failure_witness=dip)
 
 
 def is_log_concave(seq: Sequence[Number]) -> ShapeVerdict:

@@ -225,6 +225,25 @@ def ulc_witness_exact(values) -> int | None:
     return None
 
 
+def unimodal_walk(values) -> ShapeVerdict:
+    """is_unimodal by one walk: up the longest weakly rising prefix, then
+    to the first entry below its successor, whose plateau start is the
+    dip; with none, the peak is the start of the top plateau."""
+    rise_end = 0
+    while rise_end + 1 < len(values) and values[rise_end] <= values[rise_end + 1]:
+        rise_end += 1
+    for j in range(rise_end, len(values) - 1):
+        if values[j] < values[j + 1]:
+            dip = j
+            while dip > 0 and values[dip - 1] == values[dip]:
+                dip -= 1
+            return ShapeVerdict(unimodal=False, failure_witness=dip)
+    peak = rise_end
+    while peak > 0 and values[peak - 1] == values[peak]:
+        peak -= 1
+    return ShapeVerdict(unimodal=True, peak_index=peak)
+
+
 def shape_summary_separate(values) -> ShapeVerdict:
     """The three predicates as separate exact passes: is_unimodal,
     is_log_concave and ulc_witness_exact.  For a positive sequence, ULC

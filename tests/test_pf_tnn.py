@@ -264,13 +264,25 @@ def table_cells(max_order, max_shift):
             yield order, shift
 
 
+def has_zero_row(ints, shift, order):
+    """Whether the order x order window at row `shift`, column 0, has a
+    row of zeros, read from its entries."""
+    size = len(ints)
+    return any(
+        all(not (0 <= shift + i - j < size and ints[shift + i - j]) for j in range(order))
+        for i in range(order)
+    )
+
+
 def fresh_cells(ints, cells):
     """The cells whose Desnanot-Jacobi divisor, the window two orders down
-    at the same shift, is zero, by the oracle; cells at or past the end of
-    the sequence are zero without one."""
+    at the same shift, is zero, by the oracle; a window with a zero row,
+    such as every window at or past the end of the sequence, is zero
+    without one."""
     return [
         (order, shift) for order, shift in cells
-        if order >= 3 and shift < len(ints) and leading_det(ints, shift, order - 2) == 0
+        if order >= 3 and not has_zero_row(ints, shift, order)
+        and leading_det(ints, shift, order - 2) == 0
     ]
 
 
@@ -380,6 +392,7 @@ class TestSearchAgainstOracle:
         ((1, 1, 1), 2),  # the same, with the search exhausted
         ((2, 2, 1), 32),
         ((1, 0, 0, 1), 32),
+        ((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 32),  # most windows have a zero row
     ])
     def test_fallback_runs_only_after_a_zero_pivot(self, monkeypatch, entries, max_order):
         # a fresh elimination runs exactly for the table cells whose

@@ -263,6 +263,16 @@ class TestSquareFree:
         for n in range(1, 31):
             assert is_square_free(ExactPoly(darcais_record(n).numer_coeffs))
 
+    def test_the_first_prime_decides_every_numerator(self):
+        # gcd(f, f') is constant mod 2^31 - 1 for every P_n numerator up
+        # to n = 100, so a roots job never needs a second prime, or the gcd
+        prime = rootcert._SQFREE_PRIMES[0]
+        assert prime == 2**31 - 1
+        for n in range(3, 101):
+            f = darcais_record(n).numer_coeffs
+            assert (len(f) - 1) * f[-1] % prime, n
+            assert rootcert._gf_gcd_degree(f, prime) == 0, n
+
     @settings(derandomize=True, max_examples=150)
     @given(st.lists(st.integers(-9, 9), min_size=2, max_size=6))
     def test_matches_exact_gcd(self, coeffs):
@@ -494,9 +504,9 @@ class TestDescartesAgainstSturm:
         for width in (Fraction(1), Fraction(1, 256)):
             check_isolation(p, isolate_real_roots(p, max_width=width), width)
 
-    @pytest.mark.parametrize("c, real", [(2**59, 0), (1 - 3 * 2**59, 2)])
+    @pytest.mark.parametrize("c, real", [(2**29, 0), (1 - 3 * 2**29, 2)])
     def test_square_free_with_an_inconclusive_certificate(self, c, real):
-        # x^2 + x + c has discriminant 1 - 4c = -(2^61 - 1) or 3 (2^61 - 1),
+        # x^2 + x + c has discriminant 1 - 4c = -(2^31 - 1) or 3 (2^31 - 1),
         # so mod the first certificate prime it has a double root
         p = ExactPoly([c, 1, 1])
         assert not rootcert._certified_square_free(primitive_int_coeffs(p.coeffs))

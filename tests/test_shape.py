@@ -19,7 +19,7 @@ from darcais.shape import (
     shape_report,
     shape_summary,
 )
-from oracles import shape_summary_separate, ulc_witness_comb
+from oracles import shape_summary_separate, ulc_witness_comb, unimodal_walk
 
 # degree-6 cofactor of the n = 11 normalized numerator: positive and
 # real-rooted, hence ultra-log-concave by Newton's inequalities
@@ -279,6 +279,15 @@ def test_ulc_matches_binomial_form(values):
     verdict = is_ultra_log_concave(values)
     assert verdict.ultra_log_concave is (expected is None)
     assert verdict.failure_witness == expected
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.one_of(shape_sequences, st.lists(st.integers(0, 3), min_size=1, max_size=12)))
+@_shape_examples
+def test_unimodality_matches_the_walk(values):
+    # the two passes from the first maximum against one walk over the
+    # sequence: the same verdict, peak_index and dip witness
+    assert is_unimodal(values) == unimodal_walk(values)
 
 
 @settings(derandomize=True, max_examples=300)

@@ -332,7 +332,8 @@ def test_shape_and_poly_jobs_import_only_integer_code(tmp_path):
     # fresh process: json, fractions (which brings decimal and re), the
     # rational and certificate modules, the partition walks with the enum
     # their selectors use, argument parsing and the cache module without a
-    # cache would only add start-up time
+    # cache would only add start-up time; a poly job does not load the
+    # shape predicates either
     unused = (*_START_UP, "re", "fractions", "decimal", "darcais.exactnum",
               "darcais.rootcert", "darcais.pf_tnn", "darcais.partitions", "enum")
     path = tmp_path / "records.cache"
@@ -347,6 +348,8 @@ def test_shape_and_poly_jobs_import_only_integer_code(tmp_path):
         (["poly", "--n", "5", "--shifted"], False),
     ):
         modules = unused if cached else (*unused, "darcais.cache")
+        if argv[0] == "poly":
+            modules = (*modules, "darcais.shape")
         assert _modules_loaded(argv, modules)[1] == [], argv
     assert path.read_text().splitlines()[-1].startswith("5: ")  # poly extended it
 
@@ -356,7 +359,7 @@ def test_verify_jobs_import_only_integer_code():
     # witness, so a run that passes loads neither the rational arithmetic
     # nor the root and PF certificates; its reports are written without json
     unused = (*_START_UP, "re", "fractions", "decimal", "darcais.exactnum",
-              "darcais.rootcert", "darcais.pf_tnn", "darcais.cache")
+              "darcais.rootcert", "darcais.pf_tnn", "darcais.cache", "darcais.shape")
     argv = ["verify", "--conjecture", "corollary", "--max-n", "8"]
     reports, loaded = _modules_loaded(argv, unused)
     assert len(reports) == 8
@@ -364,10 +367,18 @@ def test_verify_jobs_import_only_integer_code():
 
 
 def test_root_and_pf_jobs_load_no_argument_parser_json_or_paths():
-    # roots and pf read rational input, so they load fractions (and with it
-    # re), but nothing else of what start-up used to cost
-    for argv, code in ((["roots", "--n", "10", "--hurwitz"], 0), (["pf", "--n", "10"], 1)):
-        _, loaded = _modules_loaded(argv, (*_START_UP, "darcais.cache"), code=code)
+    # roots and pf jobs on P_n read integers, an integer width and integer
+    # roots to strip, and compute on ints: they load neither fractions
+    # (with decimal, numbers and re) nor the shape predicates, nor anything
+    # else of what start-up used to cost
+    unused = (*_START_UP, "darcais.cache", "fractions", "decimal", "numbers", "re",
+              "darcais.shape")
+    for argv, code in (
+        (["roots", "--n", "10", "--hurwitz"], 0),
+        (["pf", "--n", "10"], 1),
+        (["pf", "--n", "10", "--strip-linear=-1"], 1),
+    ):
+        _, loaded = _modules_loaded(argv, unused, code=code)
         assert loaded == [], argv
 
 
@@ -385,7 +396,7 @@ def test_witness_and_rational_poly_jobs_load_no_rational_polynomials():
     # a verify witness is a Fraction over integer rows: fractions is
     # loaded, the rational polynomials and the root and PF certificates are
     # not; the rational poly lines are reduced by math.gcd and load none
-    unused = ("darcais.exactnum", "darcais.rootcert", "darcais.pf_tnn")
+    unused = ("darcais.exactnum", "darcais.rootcert", "darcais.pf_tnn", "darcais.shape")
     for argv, code in (
         (["verify", "--conjecture", "corollary", "--max-n", "3",
           "--inject-error", "trivial_arms:1:1/2"], 1),

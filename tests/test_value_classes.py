@@ -220,10 +220,19 @@ class TestDefaults:
 
 
 class TestValidation:
-    def test_toeplitz_entries_become_fractions(self):
+    def test_toeplitz_entries_stay_ints_or_become_fractions(self):
+        # ints stay ints; with any other entry, every entry is a Fraction.
+        # Either way the sequence equals and hashes as its Fraction form
         seq = ToeplitzSeq([1, 2])
         assert seq.entries == (Fraction(1), Fraction(2))
-        assert all(type(e) is Fraction for e in seq.entries)
+        assert all(type(e) is int for e in seq.entries)
+        as_fractions = ToeplitzSeq([Fraction(1), Fraction(2)])
+        assert all(type(e) is Fraction for e in as_fractions.entries)
+        assert seq == as_fractions and hash(seq) == hash(as_fractions)
+        assert all(type(e) is int for e in seq.ints + as_fractions.ints)
+        mixed = ToeplitzSeq([1, Fraction(1, 2), 2.5])
+        assert mixed.entries == (Fraction(1), Fraction(1, 2), Fraction(5, 2))
+        assert all(type(e) is Fraction for e in mixed.entries)
 
     def test_toeplitz_needs_an_entry(self):
         with pytest.raises(ValueError, match="^a Toeplitz sequence needs at least one entry$"):
