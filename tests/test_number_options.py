@@ -26,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darcais import cli
+from test_exit_contract import _strip_timings
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN_FILE = Path(__file__).parent / "golden" / "number_options.json"
@@ -38,15 +39,6 @@ CASES = {
     **{f"max_width {w}": ["roots", "--n", "5", "--max-width", w] for w in WIDTHS},
     **{f"strip_linear {r}": ["pf", "--coeffs", "1 3 2", f"--strip-linear={r}"] for r in ROOTS},
 }
-
-
-def _strip_timings(out: str) -> str:
-    lines = []
-    for line in out.splitlines():
-        record = json.loads(line)
-        record.pop("timings", None)
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-    return "".join(lines)
 
 
 def run_case(python: str, name: str) -> dict:
