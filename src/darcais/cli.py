@@ -333,15 +333,6 @@ def cmd_roots(args: Args) -> int:
             {"lower": str(iv.lower), "upper": str(iv.upper), "count": iv.count}
             for iv in intervals
         ]
-        if len(intervals) != real_count:
-            verdict = "fail"
-            witnesses.append(
-                {
-                    "check": "isolation count",
-                    "expected": real_count,
-                    "actual": len(intervals),
-                }
-            )
 
     if args.hurwitz:
         if coeffs[0] == 0:

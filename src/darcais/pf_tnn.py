@@ -23,9 +23,8 @@ which the lengths of the zero runs in the sequence show at once.  Only
 another cell whose divisor is zero is evaluated afresh, by Bareiss
 elimination with row exchanges in toeplitz_minor, in O(k^3).
 
-A sequence of ints is kept and searched in ints.  fractions is loaded
-only for a rational sequence and by toeplitz_minor, whose result is a
-Fraction: a fresh cell of the table is one.
+A sequence of ints is kept and searched in ints, fresh cells included.
+fractions is loaded only for a rational sequence.
 """
 
 from __future__ import annotations
@@ -193,18 +192,22 @@ def _det_bareiss(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def toeplitz_minor(seq: ToeplitzSeq, spec: MinorSpec) -> Fraction:
+def toeplitz_minor(seq: ToeplitzSeq, spec: MinorSpec) -> int | Fraction:
     """Exact determinant of the selected minor, by Bareiss on the entries
-    scaled by L = seq.scale: det = det(L M) / L**order."""
-    from fractions import Fraction
-
+    scaled by L = seq.scale: det = det(L M) / L**order.  An int for a
+    sequence of ints (L = 1), a Fraction for a rational one."""
     ints = seq.ints
     size = len(ints)
     matrix = [
         [ints[i - j] if 0 <= i - j < size else 0 for j in spec.cols]
         for i in spec.rows
     ]
-    return Fraction(_det_bareiss(matrix), seq.scale**spec.order)
+    det = _det_bareiss(matrix)
+    if seq.scale == 1:
+        return det
+    from fractions import Fraction
+
+    return Fraction(det, seq.scale**spec.order)
 
 
 def pf_test(seq: ToeplitzSeq, max_order: int = 32, max_shift: int = 8) -> PFVerdict:

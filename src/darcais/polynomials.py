@@ -67,8 +67,6 @@ if TYPE_CHECKING:  # annotations only
     from collections.abc import Callable, Iterable, Iterator, Mapping
     from fractions import Fraction
 
-    from .partitions import HookSelector
-
 # Feasibility defaults for the partition-sum routes, from one budget: each
 # bound is the largest n at which the route takes at most about 1 s (best
 # of 3, a two-vCPU host with Python 3.11.7; the next n took 1.0-1.5 s).
@@ -308,7 +306,7 @@ def _exact_quotient(denom: int, divisor: int) -> int:
 
 
 def _packed_sums(
-    lo: int, hi: int, exp: int, seed: tuple[int, ...], make_grow: Callable
+    lo: int, hi: int, make_grow: Callable, exp: int, seed: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
     """For each n in [lo, hi], from lo: the integer coefficients, constant
     term first, of n!^exp * sum over partitions of n of value / w, where
@@ -338,20 +336,20 @@ def _packed_sums(
     return [tuple(_read_slots(t, slot, n + 1)) for n, t in enumerate(totals, start=lo)]
 
 
-def _hook_grow(selector: HookSelector, slot: int) -> Callable:
-    """The walk's step for a hook route: the carried (value, hook_prod)
-    times z + h^e and h^e for each cell the selector keeps in the new row,
-    h its hook, e = 2 for the full multiset and 1 for the trivial ones.
-    With z = 2^slot, value * (z + c) is (value << slot) + value * c: a
-    shift and a product by a small c, where z + c would be a multiplier as
-    long as z.
+# Each route's step factory takes the slot and returns the walk's step,
+# which takes the carried (value, w, ...) through the new row's factors
+# z + c.  With z = 2^slot, value * (z + c) is (value << slot) + value * c:
+# a shift and a product by a small c, where z + c would be a multiplier as
+# long as z.  A hook route keeps a cell by testing the arm and leg computed
+# for it, as in Partition.hooks, never by the closed forms of the trivial
+# hooks, so those stay independent of the binomial route.  Each route has
+# a step of its own, so a cell costs only the test its route makes.
 
-    A cell is kept by testing the arm and leg computed for it, as in
-    Partition.hooks, never by the closed forms of the trivial selectors,
-    so those stay independent of the binomial route.  Each selector has a
-    step of its own, so a cell costs only the test its selector makes.
-    """
-    from .partitions import HookSelector
+
+def _full_hooks_step(slot: int) -> Callable:
+    """The Nekrasov-Okounkov sum over all hooks, e = 2:
+    Q_n(z) = sum_lambda prod_{h in H(lambda)} (1 + z / h^2).  The carried
+    (value, hook_prod) takes z + h^2 and h^2 for every cell of the row."""
 
     def full(carried: tuple[int, int], p: int, below: int, legs: list[int]):
         value, hook_prod = carried
@@ -360,6 +358,14 @@ def _hook_grow(selector: HookSelector, slot: int) -> Callable:
             value = (value << slot) + value * he
             hook_prod *= he
         return value, hook_prod
+
+    return full
+
+
+def _trivial_legs_step(slot: int) -> Callable:
+    """The refined sum over trivial-leg hooks, e = 1:
+    Q_n(z) = sum_lambda prod_{h in H1(lambda)} (1 + z / h).  The carried
+    (value, hook_prod) takes z + h and h for every cell with leg 0."""
 
     def trivial_leg(carried: tuple[int, int], p: int, below: int, legs: list[int]):
         value, hook_prod = carried
@@ -370,6 +376,14 @@ def _hook_grow(selector: HookSelector, slot: int) -> Callable:
                 hook_prod *= h
         return value, hook_prod
 
+    return trivial_leg
+
+
+def _trivial_arms_step(slot: int) -> Callable:
+    """The conjugate refined sum over trivial-arm hooks, e = 1.  The
+    carried (value, hook_prod) takes z + h and h for every cell with
+    arm 0."""
+
     def trivial_arm(carried: tuple[int, int], p: int, below: int, legs: list[int]):
         value, hook_prod = carried
         for arm, leg in zip(range(p - 1, -1, -1), legs):
@@ -379,37 +393,16 @@ def _hook_grow(selector: HookSelector, slot: int) -> Callable:
                 hook_prod *= h
         return value, hook_prod
 
-    return {
-        HookSelector.FULL: full,
-        HookSelector.TRIVIAL_LEG: trivial_leg,
-        HookSelector.TRIVIAL_ARM: trivial_arm,
-    }[selector]
+    return trivial_arm
 
 
-def _hook_sum(lo: int, hi: int, selector: HookSelector | str) -> list[tuple[int, ...]]:
-    """For each n in [lo, hi]: n!^e * Q_n(z) as integer coefficients, from
-    a sum over the partitions lambda of n of prod_{h in hooks} (1 + z / h^e):
-
-      * all hooks, e = 2: the Nekrasov-Okounkov sum
-        Q_n(z) = sum_lambda prod_{h in H(lambda)} (1 + z / h^2);
-      * trivial-leg hooks, e = 1: the refined sum
-        Q_n(z) = sum_lambda prod_{h in H1(lambda)} (1 + z / h);
-      * trivial-arm hooks, e = 1: the conjugate refined sum.
-
-    n!^e is divisible by every per-partition hook product (once for the
-    trivial selectors, squared for the full multiset).  The selector is a
-    HookSelector or its value."""
-    from .partitions import HookSelector
-
-    selector = HookSelector(selector)
-    exp = 2 if selector is HookSelector.FULL else 1
-    return _packed_sums(lo, hi, exp, (1, 1), lambda slot: _hook_grow(selector, slot))
-
-
-def _binomial_grow(slot: int) -> Callable:
-    """The walk's step for the binomial route, which carries the
-    multiplicity of the top part with the product.  The factor z + m,
-    z = 2^slot, is a shift and a small product, as in _hook_grow."""
+def _binomials_step(slot: int) -> Callable:
+    """The sum of binomial products over part multiplicities, e = 1:
+    Q_n(z) = sum_lambda prod_j C(k_j + z, k_j), k_j the parts of lambda
+    equal to j.  Equivalent to the trivial-leg form through the
+    multiplicity encoding of partitions, but far cheaper per partition.
+    The carried (value, fact_prod, mult) holds the multiplicity of the
+    top part with the product."""
 
     def grow(carried: tuple[int, int, int], p: int, below: int, legs: list[int]):
         # a part equal to the one below raises its multiplicity m to m + 1,
@@ -421,27 +414,18 @@ def _binomial_grow(slot: int) -> Callable:
     return grow
 
 
-def _binomial_sums(lo: int, hi: int) -> list[tuple[int, ...]]:
-    """For each n in [lo, hi]: n! * Q_n(z) as integer coefficients, from a
-    sum of binomial products over part multiplicities,
-    Q_n(z) = sum_lambda prod_j C(k_j + z, k_j), where k_j counts the parts
-    of lambda equal to j.
-
-    Equivalent to the trivial-leg form through the multiplicity encoding
-    of partitions, but dramatically cheaper per partition."""
-    return _packed_sums(lo, hi, 1, (1, 1, 0), _binomial_grow)
-
-
 # -- cross-route verification -------------------------------------------------
 
-# Each partition-sum route for Q_n by name: (rows, e), where rows(lo, hi)
-# walks once over the sizes in [lo, hi] and lists, from lo, each n's
-# integer coefficients of n!^e * Q_n, constant term first.
-_ROUTES: dict[str, tuple[Callable[[int, int], list[tuple[int, ...]]], int]] = {
-    "full_hooks": (lambda lo, hi: _hook_sum(lo, hi, "full"), 2),
-    "trivial_legs": (lambda lo, hi: _hook_sum(lo, hi, "trivial_leg"), 1),
-    "trivial_arms": (lambda lo, hi: _hook_sum(lo, hi, "trivial_arm"), 1),
-    "binomials": (_binomial_sums, 1),
+# Each partition-sum route for Q_n by name: (step factory, e, seed), so
+# that _packed_sums(lo, hi, *_ROUTES[name]) walks once over the sizes in
+# [lo, hi] and lists, from lo, each n's integer coefficients of
+# n!^e * Q_n, constant term first.  n!^e is divisible by every
+# per-partition product of the c.
+_ROUTES: dict[str, tuple[Callable[[int], Callable], int, tuple[int, ...]]] = {
+    "full_hooks": (_full_hooks_step, 2, (1, 1)),
+    "trivial_legs": (_trivial_legs_step, 1, (1, 1)),
+    "trivial_arms": (_trivial_arms_step, 1, (1, 1)),
+    "binomials": (_binomials_step, 1, (1, 1, 0)),
 }
 
 ROUTE_NAMES: tuple[str, ...] = tuple(_ROUTES)
@@ -519,9 +503,9 @@ def _reports(
     """
     walks: dict[str, tuple[list[tuple[int, ...]], int, float]] = {}
     for name in requested:
-        rows, exp = _ROUTES[name]
+        make_grow, exp, seed = _ROUTES[name]
         start = time.perf_counter()
-        walks[name] = rows(lo, hi), exp, time.perf_counter() - start
+        walks[name] = _packed_sums(lo, hi, make_grow, exp, seed), exp, time.perf_counter() - start
 
     for n in range(lo, hi + 1):
         timings: dict[str, float] = {}

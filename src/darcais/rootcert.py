@@ -32,9 +32,8 @@ room for two roots or more; room for one means one root, by parity, and
 room for none means none.  is_real_rooted stops, with False, as soon as
 the roots found and the counts still open cannot reach the degree.  A
 `roots` job asks several questions of one polynomial and bisects each
-side of it once for all of them.  A count over an interval that holds
-a whole side takes that side's number of roots, and halves a root's
-piece, in exact dyadic integers, only where an endpoint cuts it.
+side of it once for all of them.  A count halves a root's piece, in
+exact dyadic integers, only where an endpoint cuts it.
 """
 
 from __future__ import annotations
@@ -464,22 +463,20 @@ def _unit_poly(f: Sequence[int], side: int) -> list[int]:
     return [c << (-bound * (d - i)) for i, c in enumerate(h)]
 
 
-@lru_cache(maxsize=2)
-def _side_leaves(
-    f: tuple[int, ...], side: int
-) -> tuple[tuple[int, int, tuple[int, ...] | None], ...]:
-    """The roots (c, k, q) of _unit_roots for _unit_poly(f, side).
+@lru_cache(maxsize=1)
+def _sides(f: tuple[int, ...]) -> tuple[int, tuple, tuple]:
+    """The bound exponent B of f, f(0) != 0, then for each side, negative
+    first, the roots (c, k, q) of _unit_roots for _unit_poly(f, side).
 
-    The last two answers are kept.  A `roots` job asks about both sides
-    of one polynomial in count_real_roots, all_real_roots_negative and
-    isolate_real_roots, and so bisects each side once.  The leaves are
-    immutable; _real_roots builds fresh _Root objects from them on every
-    call, because halve() changes those.
+    The last answer is kept.  A `roots` job asks about one polynomial in
+    count_real_roots, all_real_roots_negative and isolate_real_roots, and
+    so bisects each side once.  The leaves are immutable; _real_roots
+    builds fresh _Root objects from them on every call, because halve()
+    changes those.
     """
-    g = _unit_poly(f, side)
-    return tuple(
-        (c, k, None if q is None else tuple(q))
-        for c, k, q in _unit_roots(g, _bernstein(g))
+    return _root_bound_exponent(f), *(
+        tuple((c, k, None if q is None else tuple(q)) for c, k, q in _unit_roots(g, _bernstein(g)))
+        for g in (_unit_poly(f, -1), _unit_poly(f, 1))
     )
 
 
@@ -496,9 +493,9 @@ def _real_roots(f: Sequence[int]) -> list[_Root]:
         f = f[1:]
     if len(f) < 2:
         return roots
-    bound = _root_bound_exponent(f)
-    for side in (-1, 1):
-        roots.extend(_Root(side, bound, c, k, q) for c, k, q in _side_leaves(tuple(f), side))
+    bound, *sides = _sides(tuple(f))
+    for side, leaves in zip((-1, 1), sides):
+        roots.extend(_Root(side, bound, c, k, q) for c, k, q in leaves)
     return roots
 
 
@@ -548,11 +545,10 @@ def count_real_roots(
     """Distinct real roots of p in (lower, upper]; None means unbounded.
 
     Finite endpoints must not be roots (RootAtEndpointError otherwise).
-    Multiple roots are counted once.  A side (x < 0 or x > 0) whose
-    roots all lie in (lower, upper] adds its number of Descartes leaves.
-    Otherwise a root whose isolating interval straddles an endpoint is
-    located by halving that interval until it does not; the ends are
-    dyadic and are compared with the endpoints in integers.
+    Multiple roots are counted once.  A root whose isolating interval
+    straddles an endpoint is located by halving that interval until it
+    does not; the ends are dyadic and are compared with the endpoints in
+    integers.
     """
     f = _square_free(_primitive(p))
     lower, upper = _exact(lower), _exact(upper)
@@ -565,27 +561,13 @@ def count_real_roots(
                 "must not be roots - shift the endpoint by a small exact rational"
             )
     count = 0
-    if f[0] == 0:
-        count += (lower is None or lower < 0) and (upper is None or upper > 0)
-        f = f[1:]
-    if len(f) < 2:
-        return count
-    bound = _root_bound_exponent(f)
-    for side in (-1, 1):
-        # x = side 2^bound t, t in (0, 1); the endpoints in t, lower first
-        ends = [None if e is None else _in_unit(e, side, bound) for e in (lower, upper)]
-        low, high = ends if side > 0 else ends[::-1]
-        if (high is not None and high[0] <= 0) or (low is not None and low[0] >= low[1]):
-            continue
-        leaves = _side_leaves(f, side)
-        if (low is None or low[0] <= 0) and (high is None or high[0] >= high[1]):
-            count += len(leaves)
-            continue
-        for c, k, q in leaves:
-            root = _Root(side, bound, c, k, q)
-            while any(e is not None and root.inside(*e) for e in (low, high)):
-                root.halve()
-            count += root.within(low, high)
+    for root in _real_roots(f):
+        # x = side 2^bound t; the endpoints in t, lower first
+        ends = [None if e is None else _in_unit(e, root.side, root.bound) for e in (lower, upper)]
+        low, high = ends if root.side > 0 else ends[::-1]
+        while any(e is not None and root.inside(*e) for e in (low, high)):
+            root.halve()
+        count += root.within(low, high)
     return count
 
 

@@ -36,7 +36,7 @@ from pathlib import Path
 from darcais.cache import CACHE_HEADER, CacheError
 from darcais.exactnum import ExactPoly, convolve, poly_divmod
 from darcais.partitions import HookMultiset, HookSelector, Partition, enumerate_partitions
-from darcais.polynomials import _ROUTES, q_scaled_coeffs, scaled_coeffs
+from darcais.polynomials import _ROUTES, _packed_sums, q_scaled_coeffs, scaled_coeffs
 from darcais.pf_tnn import MinorWitness, ToeplitzSeq, contiguous_minor_spec, toeplitz_minor
 from darcais.rootcert import SturmChain
 from darcais.shape import (
@@ -391,8 +391,8 @@ def q_poly(n: int) -> ExactPoly:
 def _route_poly(route: str, n: int) -> ExactPoly:
     """Q_n from the named partition-sum route: its row n!^e * Q_n, walked
     over the partitions of n alone, over n!^e."""
-    rows, exp = _ROUTES[route]
-    (row,) = rows(n, n)
+    make_grow, exp, seed = _ROUTES[route]
+    (row,) = _packed_sums(n, n, make_grow, exp, seed)
     return ExactPoly(Fraction(c, math.factorial(n) ** exp) for c in row)
 
 

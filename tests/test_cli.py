@@ -194,13 +194,15 @@ class TestVerify:
 
     def test_a_failing_n_ends_the_output(self, capsys, monkeypatch):
         # binomial rows are n! * Q_n, the recurrence's own; row 5 is off by z^2/5!
-        def wrong_rows(lo, hi):
-            rows = [list(polynomials.q_scaled_coeffs(n)) for n in range(lo, hi + 1)]
-            if lo <= 5 <= hi:
+        packed = polynomials._packed_sums
+
+        def wrong_sums(lo, hi, make_grow, exp, seed):
+            rows = [list(row) for row in packed(lo, hi, make_grow, exp, seed)]
+            if make_grow is polynomials._ROUTES["binomials"][0] and lo <= 5 <= hi:
                 rows[5 - lo][2] += 1
             return [tuple(row) for row in rows]
 
-        monkeypatch.setitem(polynomials._ROUTES, "binomials", (wrong_rows, 1))
+        monkeypatch.setattr(polynomials, "_packed_sums", wrong_sums)
         code, out, _ = run(capsys, "verify", "--conjecture", "corollary", "--max-n", "8")
         assert code == EXIT_MATH_FAIL
         reports = parse_lines(out)
@@ -808,7 +810,7 @@ class TestBisectionOncePerSide:
     is bisected once for all of them."""
 
     def test_roots_n66_bisects_each_side_once(self, capsys, monkeypatch):
-        rootcert._side_leaves.cache_clear()
+        rootcert._sides.cache_clear()
         bisected = []
         unit_roots = rootcert._unit_roots
 
@@ -820,7 +822,7 @@ class TestBisectionOncePerSide:
         try:
             code, out, _ = run(capsys, "roots", "--n", "66", "--hurwitz", "--isolate")
         finally:
-            rootcert._side_leaves.cache_clear()
+            rootcert._sides.cache_clear()
         assert code == EXIT_OK
         details = parse_lines(out)[0]["details"]
         assert details["real_root_count"] == len(details["intervals"]) == 43

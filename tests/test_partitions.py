@@ -13,7 +13,7 @@ from darcais.partitions import (
     enumerate_partitions,
     grow_rows,
 )
-from darcais.polynomials import _hook_grow
+from darcais.polynomials import _ROUTES
 from oracles import (
     cells,
     conjugate,
@@ -227,12 +227,21 @@ class Factors(tuple):
         return self
 
 
+# the hook route that keeps each selector's cells
+HOOK_ROUTES = {
+    HookSelector.FULL: "full_hooks",
+    HookSelector.TRIVIAL_LEG: "trivial_legs",
+    HookSelector.TRIVIAL_ARM: "trivial_arms",
+}
+
+
 def walked(lo, hi, selector=HookSelector.FULL):
     """(parts, factors) for every partition the row walk finishes, in the
     order it finishes them: the rows are carried bottom-up with the hook
-    factors h^e that the route's own step (polynomials._hook_grow) keeps
+    factors h^e that the route's own step (from polynomials._ROUTES) keeps
     for them, read at z = 0 from a product that records its factors."""
-    step = _hook_grow(selector, slot=0)
+    make_grow, _, _ = _ROUTES[HOOK_ROUTES[selector]]
+    step = make_grow(0)
     reached = []
 
     def grow(carried, p, below, legs):

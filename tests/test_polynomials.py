@@ -10,9 +10,9 @@ from darcais import partitions, polynomials
 from darcais.exactnum import ExactPoly
 from darcais.partitions import HookSelector, enumerate_partitions
 from darcais.polynomials import (
-    _binomial_sums,
+    _ROUTES,
     _exact_quotient,
-    _hook_sum,
+    _packed_sums,
     _read_slots,
     DArcaisRecord,
     ROUTE_NAMES,
@@ -247,16 +247,17 @@ class TestHookRoutes:
     @pytest.mark.parametrize(
         "walk, oracle, exp, top",
         [
-            pytest.param(lambda lo, hi: _hook_sum(lo, hi, HookSelector.FULL),
+            pytest.param(lambda lo, hi: _packed_sums(lo, hi, *_ROUTES["full_hooks"]),
                          lambda n: hook_sum_convolve(n, HookSelector.FULL, True), 2, 22,
                          id="full_hooks"),
-            pytest.param(lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_LEG),
+            pytest.param(lambda lo, hi: _packed_sums(lo, hi, *_ROUTES["trivial_legs"]),
                          lambda n: hook_sum_convolve(n, HookSelector.TRIVIAL_LEG, False), 1,
                          26, id="trivial_legs"),
-            pytest.param(lambda lo, hi: _hook_sum(lo, hi, HookSelector.TRIVIAL_ARM),
+            pytest.param(lambda lo, hi: _packed_sums(lo, hi, *_ROUTES["trivial_arms"]),
                          lambda n: hook_sum_convolve(n, HookSelector.TRIVIAL_ARM, False), 1,
                          26, id="trivial_arms"),
-            pytest.param(_binomial_sums, binomial_sum_convolve, 1, 26, id="binomials"),
+            pytest.param(lambda lo, hi: _packed_sums(lo, hi, *_ROUTES["binomials"]),
+                         binomial_sum_convolve, 1, 26, id="binomials"),
         ],
     )
     def test_one_walk_matches_expanded_products_at_every_size(self, walk, oracle, exp, top):
@@ -344,12 +345,15 @@ class TestVerifyIdentity:
 
     def test_tamper_that_cancels_a_wrong_coefficient_passes(self, monkeypatch):
         # binomial row 4 is off by z^2/4!; delta -1/4! at index 2 undoes it
-        def wrong_rows(lo, hi):
-            rows = [list(q_scaled_coeffs(n)) for n in range(lo, hi + 1)]
-            rows[4 - lo][2] += 1
+        packed = polynomials._packed_sums
+
+        def wrong_sums(lo, hi, make_grow, exp, seed):
+            rows = [list(row) for row in packed(lo, hi, make_grow, exp, seed)]
+            if make_grow is polynomials._ROUTES["binomials"][0]:
+                rows[4 - lo][2] += 1
             return [tuple(row) for row in rows]
 
-        monkeypatch.setitem(polynomials._ROUTES, "binomials", (wrong_rows, 1))
+        monkeypatch.setattr(polynomials, "_packed_sums", wrong_sums)
         assert not verify_identity(4, ["binomials"]).passed
         tamper = {"binomials": (2, Fraction(-1, 24))}
         assert verify_identity(4, ["binomials"], tamper=tamper).passed

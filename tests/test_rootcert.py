@@ -701,6 +701,6 @@ class TestBisectionSkipsDecidedHalves:
         p = numerator(60)
         assert not is_real_rooted(p)
         early = len(splits)
-        rootcert._side_leaves.cache_clear()
+        rootcert._sides.cache_clear()
         assert count_real_roots(p) == 35
         assert 0 < early < len(splits) - early

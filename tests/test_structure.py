@@ -8,6 +8,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import darcais
+from darcais.polynomials import _ROUTES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "darcais"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
@@ -266,8 +267,10 @@ def test_partition_routes_share_no_function_with_the_baseline():
     assert {"polynomials.q_scaled_coeffs", "polynomials._extend_table"} <= baseline
     # Q_n comes from its own recurrence, with no Taylor shift of P_n
     assert "exactnum.shift_by_one" not in reach("polynomials.q_scaled_coeffs")
-    for route in ("polynomials._hook_sum", "polynomials._binomial_sums"):
-        reached = reach(route)
+    for route, (make_grow, _, _) in _ROUTES.items():
+        # _packed_sums calls the step its factory makes, which the walk
+        # cannot follow through the parameter; it starts from both
+        reached = reach("polynomials._packed_sums", f"polynomials.{make_grow.__name__}")
         assert "partitions.grow_rows" in reached  # the walk sees the route's calls
         assert {key for key in reached if is_function(key)} & baseline == set(), route
         # the routes grow each partition row by row; the convolve oracles in
@@ -367,8 +370,8 @@ def test_verify_jobs_import_only_integer_code():
 
 
 def test_root_and_pf_jobs_load_no_argument_parser_json_or_paths():
-    # roots and pf jobs on P_n read integers, an integer width and integer
-    # roots to strip, and compute on ints: they load neither fractions
+    # roots and pf jobs on integer input read integers, an integer width and
+    # integer roots to strip, and compute on ints: they load neither fractions
     # (with decimal, numbers and re) nor the shape predicates, nor anything
     # else of what start-up used to cost
     unused = (*_START_UP, "darcais.cache", "fractions", "decimal", "numbers", "re",
@@ -377,6 +380,8 @@ def test_root_and_pf_jobs_load_no_argument_parser_json_or_paths():
         (["roots", "--n", "10", "--hurwitz"], 0),
         (["pf", "--n", "10"], 1),
         (["pf", "--n", "10", "--strip-linear=-1"], 1),
+        # an exhausted search through cells the table evaluates afresh
+        (["pf", "--coeffs", "1 0 0 0 0 0 0 0 0 0 0 1"], 1),
     ):
         _, loaded = _modules_loaded(argv, unused, code=code)
         assert loaded == [], argv
